@@ -16,8 +16,8 @@ Speedup gates (see docs/PERFORMANCE.md for the full analysis):
 * ``$SIM_SPEED_MIN_DESKTOP`` (default 0.7) - the desktop suite, a
   *no-regression floor*, not a speedup target.  The desktop's
   many-launch workloads ramp the PCU continuously (frequencies never
-  recur, phases never settle, spans stay under the batch minimum), so
-  no memoization/replay/macro-step lever applies; accelerated modes
+  recur, phases never settle), so no memoization/replay/macro-step
+  lever applies; accelerated modes
   run at parity with exact there, and the floor only guards against an
   accelerated mode becoming an outright slowdown beyond machine noise.
 

@@ -33,12 +33,6 @@ Grouped by layer:
 * **fleet simulation** - trace-driven dispatch of kernel requests
   across thousands of simulated SoCs under pluggable placement
   policies, deduped through the engine cache (see docs/FLEET.md).
-
-Deprecated (still exported, warn once per process): the
-``use_tick_mode`` process-global context manager - pass
-``tick_mode=...`` to the platform factories or specs instead - and
-stringly ``RunSpec.tenancy`` strings, replaced by
-:class:`TenancySpec`.
 """
 
 from __future__ import annotations
@@ -60,11 +54,7 @@ from repro.core.metrics import (
     EnergyMetric,
     metric_by_name,
 )
-from repro.core.scheduler import (
-    EasConfig,
-    EnergyAwareScheduler,
-    SchedulerConfig,
-)
+from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
 from repro.errors import (
     AdmissionError,
     GpuFaultError,
@@ -185,7 +175,6 @@ from repro.soc.spec import (
     PlatformSpec,
     baytrail_tablet,
     haswell_desktop,
-    use_tick_mode,
 )
 from repro.soc.vector import VectorCore, model_identity, use_vector_core
 from repro.workloads.base import InvocationSpec, Workload
@@ -198,14 +187,13 @@ __all__ = [
     "GpuFaultError", "ServiceError", "StoreSchemaError", "AdmissionError",
     # platforms & simulator
     "PlatformSpec", "haswell_desktop", "baytrail_tablet",
-    "IntegratedProcessor", "KernelCostModel", "use_tick_mode",
-    "TICK_MODES",
+    "IntegratedProcessor", "KernelCostModel", "TICK_MODES",
     # fault injection
     "FaultConfig", "FaultySoC",
     # runtime
     "Kernel", "ConcordRuntime",
     # schedulers
-    "EnergyAwareScheduler", "SchedulerConfig", "EasConfig",
+    "EnergyAwareScheduler", "SchedulerConfig",
     "HintedEnergyAwareScheduler", "CpuOnlyScheduler", "GpuOnlyScheduler",
     "StaticAlphaScheduler", "ProfiledPerfScheduler", "RaceToIdleScheduler",
     # characterization & metrics (see docs/OBJECTIVES.md)

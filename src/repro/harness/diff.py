@@ -2,7 +2,7 @@
 
 The simulator ships three clock modes (:data:`repro.soc.spec.TICK_MODES`):
 ``exact`` is the byte-stable reference, ``fast`` macro-steps settled
-spans with bit-identical per-tick commit replay, and ``bounded`` trades
+spans and ticks everything else, and ``bounded`` trades
 bit-exactness for speed under an explicit tolerance contract
 (``PlatformSpec.bounded_tol``, see docs/PERFORMANCE.md).  This module is
 the harness that keeps those three implementations honest against each
@@ -27,9 +27,11 @@ other:
 * :func:`exact_fingerprint_entries` / :func:`compute_fingerprint` name
   and compute the exact-mode golden fingerprints checked into
   ``tests/goldens/`` (suite EAS runs, alpha sweeps, a chaos campaign, a
-  small fleet, multiprogram co-runs).  ``tools/record_goldens.py``
-  records them; ``tests/soc/test_golden_regression.py`` fails with a
-  readable diff if any drifts.
+  small fleet, multiprogram co-runs); :func:`mode_fingerprint_entries`
+  names the suite EAS runs also pinned under the fast and bounded
+  modes.  ``tools/record_goldens.py`` records them;
+  ``tests/soc/test_golden_regression.py`` fails with a readable diff
+  if any drifts.
 
 ``tests/soc/test_differential_modes.py`` sweeps the full grid -
 Table-1 workloads x both platforms x fault levels {0.0, 0.3} x
@@ -421,12 +423,21 @@ def exact_fingerprint_entries() -> List[str]:
     return entries
 
 
-def compute_fingerprint(entry: str) -> str:
-    """Recompute one golden entry's exact-mode fingerprint.
+def mode_fingerprint_entries() -> List[str]:
+    """The entries the fast and bounded goldens pin: the suite-EAS
+    cells of the differential grid."""
+    return [e for e in exact_fingerprint_entries()
+            if e.startswith("suite-eas/")]
+
+
+def compute_fingerprint(entry: str, mode: str = "exact") -> str:
+    """Recompute one golden entry's fingerprint under clock ``mode``.
 
     Every computation runs serially, uncached (a private
-    jobs=1/no-cache engine), under ``tick_mode="exact"`` - the goldens
-    pin the *reference* semantics, not any accelerated path.
+    jobs=1/no-cache engine).  The exact goldens pin the *reference*
+    semantics; the fast and bounded goldens pin the suite-EAS entries
+    under those modes, so a refactor of an accelerated path must keep
+    its output byte-identical too.
     """
     from repro.harness.engine import ExecutionEngine, use_engine
 
@@ -435,20 +446,20 @@ def compute_fingerprint(entry: str) -> str:
         if parts[0] == "suite-eas":
             _, platform, abbrev = parts
             case = DiffCase(platform=platform, workload=abbrev)
-            return run_case(case, "exact").fingerprint
+            return run_case(case, mode).fingerprint
         if parts[0] == "sweep":
             from repro.harness.suite import sweep_alphas
 
             _, platform, abbrev = parts
             return sweep_alphas(
-                PLATFORM_FACTORIES[platform](tick_mode="exact"),
+                PLATFORM_FACTORIES[platform](tick_mode=mode),
                 workload_by_abbrev(abbrev),
                 tablet=platform == "tablet").fingerprint()
         if parts[0] == "chaos":
             from repro.harness.chaos import run_chaos_campaign
 
             return run_chaos_campaign(
-                spec=PLATFORM_FACTORIES[parts[1]](tick_mode="exact"),
+                spec=PLATFORM_FACTORIES[parts[1]](tick_mode=mode),
                 fault_levels=DIFF_FAULT_LEVELS, seed=2016).fingerprint()
         if parts[0] == "fleet":
             from repro.fleet.dispatcher import run_fleet
@@ -456,7 +467,7 @@ def compute_fingerprint(entry: str) -> str:
             from repro.fleet.trace import TraceSpec
 
             fleet = FleetSpec(n_nodes=12, desktop_fraction=0.5,
-                              tick_mode="exact", seed=2016)
+                              tick_mode=mode, seed=2016)
             trace = TraceSpec(kind="bursty", duration_s=30.0,
                               mean_rate_hz=2.0, workloads=("MB", "BS"),
                               seed=2016)
@@ -467,7 +478,7 @@ def compute_fingerprint(entry: str) -> str:
             from repro.runtime.tenancy import parse_tenant_specs, run_multiprogram
 
             result = run_multiprogram(
-                spec=PLATFORM_FACTORIES[platform](tick_mode="exact"),
+                spec=PLATFORM_FACTORIES[platform](tick_mode=mode),
                 tenants=parse_tenant_specs("MB:1,BS:0"), policy=policy,
                 seed=2016, metric=EDP, tablet=platform == "tablet",
                 characterization=_characterization_for(

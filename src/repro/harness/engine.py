@@ -51,7 +51,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro._compat import warn_once
 from repro.core.baselines import (
     CpuOnlyScheduler,
     GpuOnlyScheduler,
@@ -223,7 +222,16 @@ class SchedulerSpec:
     def eas(cls, metric: object = "edp",
             config: Optional[SchedulerConfig] = None) -> "SchedulerSpec":
         name = metric if isinstance(metric, str) else metric.name
-        metric_by_name(name)  # validate early, in the submitting process
+        # Validate early, in the submitting process.  Workers rebuild
+        # the metric from its name alone, so an object the name does
+        # not reproduce would silently run a different objective.
+        resolved = metric_by_name(name)
+        if not isinstance(metric, str) and resolved != metric:
+            raise HarnessError(
+                f"metric {metric!r} is not reproducible from its name "
+                f"{name!r} (which resolves to {resolved!r}); workers "
+                f"rebuild metrics by name - use a standard or "
+                f"constrained metric")
         return cls(kind="eas", metric=name, overrides=config_overrides(config))
 
     @classmethod
@@ -285,10 +293,7 @@ class RunSpec:
     #: Kind-specific numeric parameters, canonicalized.
     params: Tuple[Tuple[str, float], ...] = ()
     #: Multiprogram tenancy description (``multiprogram`` only): a
-    #: typed :class:`~repro.runtime.tenancy.TenancySpec`.  The legacy
-    #: one-string spelling ``"<policy>;<quantum>;<tenant-text>"`` is
-    #: still accepted (parsed through :meth:`TenancySpec.parse` with a
-    #: ``DeprecationWarning``) and hashes to the same cache key.
+    #: typed :class:`~repro.runtime.tenancy.TenancySpec`.
     tenancy: Optional[TenancySpec] = None
     #: Collect an Observer (spans/events/decisions/metrics) in the
     #: worker and return it for merging into the parent's.
@@ -332,28 +337,13 @@ class RunSpec:
         if self.kind == KIND_CHAR_SWEEP and (
                 self.microbench is None or self.sweep_step <= 0.0):
             raise HarnessError("char-sweep spec needs a microbench and step")
-        if isinstance(self.tenancy, str):
-            # Legacy stringly-typed spelling: parse into the typed
-            # spec (same cache key, one deprecation warning).
-            if self.tenancy:
-                warn_once(
-                    "engine.RunSpec.tenancy-string",
-                    "passing RunSpec.tenancy as a 'policy;quantum;tenants' "
-                    "string is deprecated; build a typed TenancySpec "
-                    "(repro.runtime.tenancy.TenancySpec) instead")
-                try:
-                    parsed = TenancySpec.parse(self.tenancy)
-                except SchedulingError as exc:
-                    raise HarnessError(
-                        f"multiprogram spec needs tenancy="
-                        f"'policy;quantum;tenants': {exc}") from exc
-                object.__setattr__(self, "tenancy", parsed)
-            else:
-                object.__setattr__(self, "tenancy", None)
-        if self.kind == KIND_MULTIPROGRAM and self.tenancy is None:
+        if (self.tenancy is not None
+                and not isinstance(self.tenancy, TenancySpec)):
             raise HarnessError(
-                "multiprogram spec needs a TenancySpec "
-                "(legacy 'policy;quantum;tenants' strings still parse)")
+                f"tenancy must be a TenancySpec, got "
+                f"{type(self.tenancy).__name__}")
+        if self.kind == KIND_MULTIPROGRAM and self.tenancy is None:
+            raise HarnessError("multiprogram spec needs a TenancySpec")
 
     def param(self, name: str, default: float = 0.0) -> float:
         return dict(self.params).get(name, default)

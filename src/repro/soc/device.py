@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.soc.cost_model import KernelCostModel
 from repro.soc.spec import PlatformSpec
 
@@ -140,100 +138,3 @@ def compute_rates(spec: PlatformSpec, cost: KernelCostModel,
         cpu_traffic_bytes_per_s=cpu_rate * cpu_bytes_per_item,
         gpu_traffic_bytes_per_s=gpu_rate * gpu_bytes_per_item,
     )
-
-
-def compute_rates_batch(spec: PlatformSpec, cost: KernelCostModel,
-                        cpu_freq_hz: "np.ndarray", gpu_freq_hz: "np.ndarray",
-                        cpu_active_cores: float, gpu_items_in_flight: float,
-                        cpu_active: bool, gpu_active: bool) -> DeviceRates:
-    """Vectorized twin of :func:`compute_rates` over frequency arrays.
-
-    Element ``i`` of every returned array reproduces
-    ``compute_rates(..., cpu_freq_hz[i], gpu_freq_hz[i], ...)`` with the
-    *same elementary operations in the same order*, so each element is
-    bit-identical to the scalar result (IEEE arithmetic is deterministic
-    per element; only reductions over elements can reassociate).  The
-    fast clock mode's batched-transient path depends on that equality -
-    keep this function in lockstep with :func:`compute_rates`.
-
-    Device activity and core counts are scalars (constant over the
-    batch span); only frequencies vary per element.
-    """
-    cpu_freq_hz = np.asarray(cpu_freq_hz, dtype=float)
-    gpu_freq_hz = np.asarray(gpu_freq_hz, dtype=float)
-    zeros = np.zeros_like(cpu_freq_hz)
-    cpu_bytes_per_item = cost.dram_bytes_per_item
-    gpu_bytes_per_item = cost.gpu_dram_bytes_per_item
-
-    cpu_compute = zeros
-    if cpu_active and cpu_active_cores > 0:
-        instr_rate = spec.cpu.instruction_rate(cpu_freq_hz, cpu_active_cores)
-        cpu_compute = instr_rate * cost.cpu_simd_efficiency / cost.instructions_per_item
-
-    gpu_compute = zeros
-    if gpu_active:
-        occ = gpu_occupancy(spec, gpu_items_in_flight)
-        instr_rate = spec.gpu.instruction_rate(gpu_freq_hz, occ)
-        effective = cost.gpu_simd_efficiency * (1.0 - cost.gpu_divergence)
-        gpu_compute = instr_rate * effective / cost.gpu_instructions_per_item
-
-    if cpu_bytes_per_item <= 0.0:
-        return DeviceRates(
-            cpu_items_per_s=cpu_compute,
-            gpu_items_per_s=gpu_compute,
-            cpu_memory_stall_fraction=zeros,
-            gpu_memory_stall_fraction=zeros,
-            cpu_traffic_bytes_per_s=zeros,
-            gpu_traffic_bytes_per_s=zeros,
-        )
-
-    cpu_link_rate = spec.cpu.mem_bw_bytes_per_s / cpu_bytes_per_item
-    gpu_link_rate = spec.gpu.mem_bw_bytes_per_s / gpu_bytes_per_item
-    cpu_solo = np.minimum(cpu_compute, cpu_link_rate)
-    gpu_solo = np.minimum(gpu_compute, gpu_link_rate)
-
-    demand_cpu = cpu_solo * cpu_bytes_per_item
-    demand_gpu = gpu_solo * gpu_bytes_per_item
-    total_demand = demand_cpu + demand_gpu
-    shared = spec.memory.shared_bw_bytes_per_s
-    contended = (total_demand > shared) & (total_demand > 0)
-    scale = np.divide(shared, total_demand,
-                      out=np.ones_like(total_demand), where=contended)
-    cpu_rate = np.where(contended, cpu_solo * scale, cpu_solo)
-    gpu_rate = np.where(contended, gpu_solo * scale, gpu_solo)
-
-    kappa = spec.memory.llc_contention_factor
-    if kappa > 0.0:
-        both = (cpu_rate > 0) & (gpu_rate > 0)
-        gpu_share = np.minimum(1.0, (gpu_rate * gpu_bytes_per_item) / shared)
-        cpu_rate = np.where(both, cpu_rate * (1.0 - kappa * gpu_share), cpu_rate)
-
-    cpu_q = np.divide(cpu_rate, cpu_compute,
-                      out=np.zeros_like(cpu_rate), where=cpu_compute > 0)
-    gpu_q = np.divide(gpu_rate, gpu_compute,
-                      out=np.zeros_like(gpu_rate), where=gpu_compute > 0)
-    cpu_stall = np.where(cpu_compute <= 0, 0.0,
-                         np.maximum(0.0, 1.0 - cpu_q))
-    gpu_stall = np.where(gpu_compute <= 0, 0.0,
-                         np.maximum(0.0, 1.0 - gpu_q))
-
-    return DeviceRates(
-        cpu_items_per_s=cpu_rate,
-        gpu_items_per_s=gpu_rate,
-        cpu_memory_stall_fraction=cpu_stall,
-        gpu_memory_stall_fraction=gpu_stall,
-        cpu_traffic_bytes_per_s=cpu_rate * cpu_bytes_per_item,
-        gpu_traffic_bytes_per_s=gpu_rate * gpu_bytes_per_item,
-    )
-
-
-def span_items(items_per_s: "np.ndarray", dts: "np.ndarray") -> float:
-    """Items retired over a whole tick span: ``sum_i rate[i] * dts[i]``.
-
-    The span twin of the scalar loop's per-tick ``consume(rate * dt)``
-    capacity accumulation.  One dot product; agrees with the per-tick
-    running sum to float-summation-order error, inside the
-    bounded-mode tolerance contract (the only consumer).
-    """
-    return float(np.dot(np.asarray(items_per_s, dtype=float),
-                        np.asarray(dts, dtype=float)))

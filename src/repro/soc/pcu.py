@@ -195,39 +195,6 @@ class Pcu:
             return dt
         return min(dt, _grid_after(now, self.spec.pcu.sample_interval_s) - now)
 
-    def edge_pending(self, gpu_active: bool) -> bool:
-        """Would the next step apply a GPU activity edge?
-
-        The batched-transient path of the fast clock mode requires
-        constant device activity over the span it plans; an unapplied
-        edge means the very next step runs activation-throttle logic
-        and must stay on the scalar path.
-        """
-        return gpu_active != self._gpu_was_active
-
-    def clone(self) -> "Pcu":
-        """Independent copy for schedule *planning* (fast clock mode).
-
-        The simulator's batched-transient path steps a throwaway clone
-        through upcoming ticks to learn the exact frequency/dt schedule
-        without touching live state, evaluates the rate/power models
-        once over the whole schedule, then advances the real controller
-        to the committed prefix.  The clone shares the (immutable) spec
-        and copies all mutable state.
-        """
-        twin = Pcu.__new__(Pcu)
-        twin.spec = self.spec
-        twin.state = PcuState(
-            cpu_freq_hz=self.state.cpu_freq_hz,
-            gpu_freq_hz=self.state.gpu_freq_hz,
-            last_gpu_active_t=self.state.last_gpu_active_t,
-            cap_throttle_hz=self.state.cap_throttle_hz,
-        )
-        twin._gpu_was_active = self._gpu_was_active
-        twin._throttle_recovery = self._throttle_recovery
-        twin.power_hint = self.power_hint
-        return twin
-
     def macro_step(self, now: float, dt: float, cpu_active: bool,
                    gpu_active: bool) -> "tuple[float, float]":
         """Advance a settled controller by ``dt`` in one jump.

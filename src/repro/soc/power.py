@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.soc.device import DeviceRates
 from repro.soc.spec import PlatformSpec
 
@@ -73,57 +71,6 @@ def package_power(spec: PlatformSpec, rates: DeviceRates,
 
     return PowerBreakdown(cpu_w=cpu_w, gpu_w=gpu_w,
                           uncore_w=uncore_w, idle_w=spec.idle_power_w)
-
-
-def package_power_batch(spec: PlatformSpec, rates: DeviceRates,
-                        cpu_freq_hz: "np.ndarray", gpu_freq_hz: "np.ndarray",
-                        cpu_active_cores: float,
-                        gpu_active: bool) -> PowerBreakdown:
-    """Vectorized twin of :func:`package_power` over frequency arrays.
-
-    Element ``i`` reproduces ``package_power(...)`` at
-    ``(cpu_freq_hz[i], gpu_freq_hz[i], rates[i])`` with the same
-    elementary operations in the same order, so each element is
-    bit-identical to the scalar result.  ``rates`` must carry array
-    fields (from :func:`~repro.soc.device.compute_rates_batch`).  The
-    returned breakdown holds arrays; its ``package_w`` property
-    broadcasts.  Keep in lockstep with :func:`package_power`.
-    """
-    cpu_freq_hz = np.asarray(cpu_freq_hz, dtype=float)
-    gpu_freq_hz = np.asarray(gpu_freq_hz, dtype=float)
-
-    cpu_w = np.zeros_like(cpu_freq_hz)
-    if cpu_active_cores > 0:
-        dyn = spec.cpu.dynamic_power_w(cpu_freq_hz, cpu_active_cores)
-        dyn = _stall_scaled(dyn, rates.cpu_memory_stall_fraction,
-                            spec.cpu.memory_stall_power_factor)
-        cpu_w = dyn + spec.cpu.leakage_per_core_w * cpu_active_cores
-
-    gpu_w = np.zeros_like(gpu_freq_hz)
-    if gpu_active:
-        dyn = spec.gpu.dynamic_power_w(gpu_freq_hz, 1.0)
-        dyn = _stall_scaled(dyn, rates.gpu_memory_stall_fraction,
-                            spec.gpu.memory_stall_power_factor)
-        gpu_w = dyn + spec.gpu.leakage_w
-
-    uncore_w = (spec.memory.uncore_static_w
-                + spec.memory.traffic_power_w(rates.total_traffic_bytes_per_s))
-
-    return PowerBreakdown(cpu_w=cpu_w, gpu_w=gpu_w,
-                          uncore_w=uncore_w, idle_w=spec.idle_power_w)
-
-
-def span_energy_j(package_w: "np.ndarray", dts: "np.ndarray") -> float:
-    """Energy of a whole tick span: ``sum_i package_w[i] * dts[i]``.
-
-    The span twin of per-tick ``msr.deposit(package_w * dt)``
-    accumulation.  Evaluated as one dot product, it agrees with the
-    scalar per-tick running sum to float-summation-order error (below
-    1e-9 relative for any realistic span) - inside the bounded-mode
-    tolerance contract, which is the only mode that uses it.
-    """
-    return float(np.dot(np.asarray(package_w, dtype=float),
-                        np.asarray(dts, dtype=float)))
 
 
 def idle_power(spec: PlatformSpec) -> PowerBreakdown:

@@ -42,16 +42,14 @@ import struct
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.obs.observer import Observer, resolve
 from repro.soc.cost_model import KernelCostModel
 from repro.soc.counters import CounterDelta, CounterSnapshot, PerfCounters
-from repro.soc.device import DeviceRates, compute_rates, compute_rates_batch
+from repro.soc.device import DeviceRates, compute_rates
 from repro.soc.msr import EnergyMsr
 from repro.soc.pcu import Pcu
-from repro.soc.power import idle_power, package_power, package_power_batch
+from repro.soc.power import idle_power, package_power
 from repro.soc.spec import PlatformSpec
 from repro.soc.trace import SPAN_DECIMATION_TICKS, PowerTrace, TraceSample
 from repro.soc.vector import active_vector_core
@@ -62,15 +60,6 @@ _MIN_DT = 1e-7
 
 #: Items-remaining below which a region counts as finished.
 _DONE_EPS = 1e-9
-
-#: Most ticks one batched-transient evaluation will plan ahead
-#: (bounds planning memory; longer transients simply batch again).
-_BATCH_MAX_TICKS = 4096
-
-#: Below this many plannable ticks the vectorized evaluation costs more
-#: than it saves (numpy's per-op overhead outweighs the saved model
-#: calls); fall back to the scalar tick path, which memoizes instead.
-_BATCH_MIN_TICKS = 16
 
 #: Phase-memo probes allowed before a processor that has never scored a
 #: replay hit concludes its workload defeats the memo and disarms it.
@@ -448,10 +437,9 @@ class IntegratedProcessor:
                     dispatch, cpu_active=cpu_active, gpu_active=gpu_running)
 
             # Completion/transition bounds at the current rates: shared
-            # by the macro-step gate, the batch plan cap, and the dt
-            # selection below - computed once per tick (they only
-            # depend on region state and ``prelim``, which none of the
-            # consumers mutate before use).
+            # by the macro-step gate and the dt selection below -
+            # computed once per tick (they only depend on region state
+            # and ``prelim``, which neither consumer mutates before use).
             t_done_cpu = (cpu_region.time_to_complete(prelim.cpu_items_per_s)
                           if cpu_cores > 0 and prelim.cpu_items_per_s > 0
                           else float("inf"))
@@ -511,39 +499,6 @@ class IntegratedProcessor:
                         prev_cpu_freq = pre_cpu_freq
                         prev_gpu_freq = pre_gpu_freq
                         continue
-
-            # Batched transient: the span ahead is not settled (a ramp
-            # is in progress) but it is *pre-determined* - no launch in
-            # flight, no GPU activity edge, no cap throttle armed - so
-            # the whole tick/frequency schedule can be planned on a PCU
-            # clone and the expensive rate/power models evaluated once,
-            # vectorized, instead of once per tick.  Committed ticks are
-            # element-wise bit-identical to scalar ticking.
-            if (fast and not launching
-                    and st.cap_throttle_hz == 0.0
-                    and self._last_package_w <= spec.pcu.package_cap_w
-                    and not self.pcu.edge_pending(gpu_running)):
-                # Don't plan (much) past the nearest completion: the
-                # estimate uses current rates, so it is only a planning
-                # heuristic - commit-time truncation, not this bound,
-                # decides what actually executes.
-                plan_cap = _BATCH_MAX_TICKS
-                if t_done_cpu != float("inf"):
-                    plan_cap = min(plan_cap, 2 + int(t_done_cpu / tick))
-                if t_done_gpu != float("inf"):
-                    plan_cap = min(plan_cap, 2 + int(t_done_gpu / tick))
-                advanced = self._transient_batch(
-                    cost, cpu_region, gpu_region, cpu_active, cpu_cores,
-                    gpu_running, gpu_dispatch_items, deadline, event_horizon,
-                    stable_ticks, prev_cpu_freq, prev_gpu_freq,
-                    plan_cap) if plan_cap >= _BATCH_MIN_TICKS else None
-                if advanced is not None:
-                    (n_committed, stable_ticks, prev_cpu_freq,
-                     prev_gpu_freq, span_busy) = advanced
-                    total_ticks += n_committed
-                    macro_steps += 1
-                    gpu_busy_time += span_busy
-                    continue
 
             dt = tick * (8.0 if stable_ticks > 16 else 1.0)
             event_bounded = False
@@ -874,240 +829,6 @@ class IntegratedProcessor:
             counters=start_counters.delta(end_counters),
             energy_j=entry.energy_j,
         )
-
-    def _transient_batch(self, cost: KernelCostModel,
-                         cpu_region: Optional[WorkRegion],
-                         gpu_region: Optional[WorkRegion],
-                         cpu_active: bool, cpu_cores: float,
-                         gpu_running: bool, gpu_dispatch_items: float,
-                         deadline: float, event_horizon: float,
-                         stable_ticks: int, prev_cpu_freq: float,
-                         prev_gpu_freq: float, plan_cap: int):
-        """Plan, evaluate and commit one batched transient span.
-
-        Two passes.  **Plan**: a PCU clone is stepped through the
-        upcoming ticks, reproducing the scalar loop's dt selection
-        (adaptive stretch, transition/event-horizon alignment) and the
-        controller's frequency ramps, without evaluating the rate or
-        power models.  **Evaluate**: the roofline and power models run
-        once, vectorized, over the planned frequency arrays - each
-        element bit-identical to the scalar call it replaces.  The plan
-        is then truncated to the prefix the scalar loop would actually
-        have executed unchanged: ticks before any device-completion
-        bound would fire, and at most one tick whose power exceeds the
-        cap (the next tick arms cap-feedback sampling and must run on
-        the scalar path, exactly as in exact mode).
-
-        Returns ``None`` when fewer than ``_BATCH_MIN_TICKS`` ticks are
-        plannable (the scalar path is cheaper); otherwise commits all
-        side effects (work, counters, MSR, trace, PCU state, clock) and
-        returns ``(n_ticks, stable_ticks, prev_cpu_freq, prev_gpu_freq,
-        gpu_busy_s)`` for the caller's loop state.
-        """
-        spec = self.spec
-        tick = spec.tick_s
-        plan = self.pcu.clone()
-        now = self.now
-        nows: List[float] = []
-        dts: List[float] = []
-        base_dts: List[float] = []
-        pre_c: List[float] = []
-        pre_g: List[float] = []
-        post_c: List[float] = []
-        post_g: List[float] = []
-        stables: List[int] = []
-        recovery: List[bool] = []
-        st_count = stable_ticks
-        pc = prev_cpu_freq
-        pg = prev_gpu_freq
-        # Plan pass.  The clone is stepped with a zero power signal:
-        # cap-feedback sampling is a no-op at or under the cap, and the
-        # commit pass truncates at the first over-cap tick, so the live
-        # controller would see no-op samples over every committed tick
-        # just the same.
-        while len(dts) < plan_cap:
-            if now >= deadline:
-                break
-            if event_horizon - now <= 1e-12:
-                break
-            if plan.settled(now, cpu_active, gpu_running, 0.0):
-                break  # hand the rest of the span to the macro-step path
-            base = tick * (8.0 if st_count > 16 else 1.0)
-            dt = base
-            event_bounded = False
-            t_trans = plan.time_to_next_transition(now, cpu_active, gpu_running)
-            if t_trans - now < dt:
-                dt = t_trans - now
-                event_bounded = True
-            if event_horizon - now < dt:
-                dt = event_horizon - now
-                event_bounded = True
-            dt = max(dt, _MIN_DT)
-            f0c = plan.state.cpu_freq_hz
-            f0g = plan.state.gpu_freq_hz
-            f1c, f1g = plan.step(now, dt, cpu_active=cpu_active,
-                                 gpu_active=gpu_running,
-                                 last_package_power_w=0.0)
-            nows.append(now)
-            dts.append(dt)
-            base_dts.append(base)
-            pre_c.append(f0c)
-            pre_g.append(f0g)
-            post_c.append(f1c)
-            post_g.append(f1g)
-            moved = (abs(f1c - pc) > 3e7 or abs(f1g - pg) > 3e7)
-            pc = f1c
-            pg = f1g
-            st_count = 0 if (moved or event_bounded) else st_count + 1
-            stables.append(st_count)
-            recovery.append(plan._throttle_recovery)
-            now += dt
-        n = len(dts)
-        if n < _BATCH_MIN_TICKS:
-            return None
-
-        # Evaluate pass: rates at pre- and post-step frequencies (the
-        # scalar loop reuses its preliminary rates when the step barely
-        # moved the clocks - reproduce that selection per element).
-        # Each tick's pre-step frequency IS the previous tick's
-        # post-step frequency (``plan.step`` returns its own state), so
-        # the 2n scalar evaluations collapse onto one (n+1)-point
-        # frequency ladder evaluated in a single vectorized call;
-        # pre/post views are strided slices of the same arrays.  Every
-        # element is still bit-identical to its scalar counterpart -
-        # the batch twin is elementwise, so neighbors can't perturb it.
-        ladder_c = np.empty(n + 1)
-        ladder_g = np.empty(n + 1)
-        ladder_c[0] = pre_c[0]
-        ladder_c[1:] = post_c
-        ladder_g[0] = pre_g[0]
-        ladder_g[1:] = post_g
-        f_pre_c = ladder_c[:-1]
-        f_pre_g = ladder_g[:-1]
-        f_post_c = ladder_c[1:]
-        f_post_g = ladder_g[1:]
-        dts_a = np.array(dts)
-        base_a = np.array(base_dts)
-        dispatch = gpu_dispatch_items if gpu_running else 0.0
-        r_all = compute_rates_batch(spec, cost, ladder_c, ladder_g, cpu_cores,
-                                    dispatch, cpu_active=cpu_active,
-                                    gpu_active=gpu_running)
-        r_pre = DeviceRates(
-            cpu_items_per_s=r_all.cpu_items_per_s[:-1],
-            gpu_items_per_s=r_all.gpu_items_per_s[:-1],
-            cpu_memory_stall_fraction=r_all.cpu_memory_stall_fraction[:-1],
-            gpu_memory_stall_fraction=r_all.gpu_memory_stall_fraction[:-1],
-            cpu_traffic_bytes_per_s=r_all.cpu_traffic_bytes_per_s[:-1],
-            gpu_traffic_bytes_per_s=r_all.gpu_traffic_bytes_per_s[:-1],
-        )
-        r_post = DeviceRates(
-            cpu_items_per_s=r_all.cpu_items_per_s[1:],
-            gpu_items_per_s=r_all.gpu_items_per_s[1:],
-            cpu_memory_stall_fraction=r_all.cpu_memory_stall_fraction[1:],
-            gpu_memory_stall_fraction=r_all.gpu_memory_stall_fraction[1:],
-            cpu_traffic_bytes_per_s=r_all.cpu_traffic_bytes_per_s[1:],
-            gpu_traffic_bytes_per_s=r_all.gpu_traffic_bytes_per_s[1:],
-        )
-        reuse = ((np.abs(f_post_c - f_pre_c) < 1e6)
-                 & (np.abs(f_post_g - f_pre_g) < 1e6))
-        rates = DeviceRates(
-            cpu_items_per_s=np.where(reuse, r_pre.cpu_items_per_s,
-                                     r_post.cpu_items_per_s),
-            gpu_items_per_s=np.where(reuse, r_pre.gpu_items_per_s,
-                                     r_post.gpu_items_per_s),
-            cpu_memory_stall_fraction=np.where(
-                reuse, r_pre.cpu_memory_stall_fraction,
-                r_post.cpu_memory_stall_fraction),
-            gpu_memory_stall_fraction=np.where(
-                reuse, r_pre.gpu_memory_stall_fraction,
-                r_post.gpu_memory_stall_fraction),
-            cpu_traffic_bytes_per_s=np.where(reuse,
-                                             r_pre.cpu_traffic_bytes_per_s,
-                                             r_post.cpu_traffic_bytes_per_s),
-            gpu_traffic_bytes_per_s=np.where(reuse,
-                                             r_pre.gpu_traffic_bytes_per_s,
-                                             r_post.gpu_traffic_bytes_per_s),
-        )
-        breakdown = package_power_batch(spec, rates, f_post_c, f_post_g,
-                                        cpu_cores, gpu_active=gpu_running)
-        pkg = breakdown.package_w
-
-        # Truncate to the prefix the scalar loop would run unchanged.
-        n_commit = n
-        cap_cpu = rates.cpu_items_per_s * dts_a
-        cap_gpu = rates.gpu_items_per_s * dts_a
-        if cpu_cores > 0:
-            w_before = (cpu_region.work_remaining
-                        - np.concatenate(([0.0], np.cumsum(cap_cpu)))[:n])
-            # Conservative guard (1e-9 relative): truncating a tick
-            # early is always safe - the scalar loop replays it exactly
-            # - while committing a tick the scalar loop would have
-            # completion-bounded is not.
-            fired = ((r_pre.cpu_items_per_s > 0)
-                     & (w_before <= r_pre.cpu_items_per_s * base_a
-                        * (1.0 + 1e-9)))
-            hits = np.flatnonzero(fired)
-            if hits.size:
-                n_commit = min(n_commit, int(hits[0]))
-        if gpu_running:
-            w_before = (gpu_region.work_remaining
-                        - np.concatenate(([0.0], np.cumsum(cap_gpu)))[:n])
-            fired = ((r_pre.gpu_items_per_s > 0)
-                     & (w_before <= r_pre.gpu_items_per_s * base_a
-                        * (1.0 + 1e-9)))
-            hits = np.flatnonzero(fired)
-            if hits.size:
-                n_commit = min(n_commit, int(hits[0]))
-        over = np.flatnonzero(pkg > spec.pcu.package_cap_w)
-        if over.size:
-            # The over-cap tick itself still ran with an under-cap power
-            # signal; commit through it, then let the scalar path arm
-            # grid-aligned cap sampling from the next tick on.
-            n_commit = min(n_commit, int(over[0]) + 1)
-        if n_commit < _BATCH_MIN_TICKS:
-            return None
-        if over.size and int(over[0]) < n_commit:
-            self._phase_armed = True
-
-        k = n_commit - 1
-        span_busy = 0.0
-        trace_on = self.trace.enabled
-        # Commit pass: replay the committed ticks' side effects in
-        # order, scalar, from the precomputed arrays.  Work retirement,
-        # counters, and MSR deposits land bit-identical to exact-mode
-        # ticking (summation order and all) - only the model
-        # evaluations above were batched.  Downstream consumers that
-        # quantize (the MSR register) or knife-edge (scheduler argmins
-        # over measured energy) therefore observe literally the same
-        # values either way.
-        for i in range(n_commit):
-            dt_i = dts[i]
-            if cpu_cores > 0:
-                done = cpu_region.consume(float(cap_cpu[i]))
-                self.counters.account_cpu_items(done, cost)
-            if gpu_running:
-                done = gpu_region.consume(float(cap_gpu[i]))
-                self.counters.account_gpu_items(done)
-                span_busy += dt_i
-            self.counters.account_gpu_busy(gpu_running, dt_i)
-            self.msr.deposit(float(pkg[i]) * dt_i)
-            if trace_on:
-                self.trace.append(TraceSample(
-                    t=nows[i], dt=dt_i, package_w=float(pkg[i]),
-                    cpu_w=float(breakdown.cpu_w[i]),
-                    gpu_w=float(breakdown.gpu_w[i]),
-                    uncore_w=float(breakdown.uncore_w[i]),
-                    cpu_freq_hz=post_c[i], gpu_freq_hz=post_g[i],
-                    gpu_active=gpu_running))
-        self._last_package_w = float(pkg[k])
-        live = self.pcu.state
-        live.cpu_freq_hz = post_c[k]
-        live.gpu_freq_hz = post_g[k]
-        if gpu_running:
-            live.last_gpu_active_t = nows[k] + dts[k]
-        self.pcu._throttle_recovery = recovery[k]
-        self.now = nows[k] + dts[k]
-        return n_commit, stables[k], post_c[k], post_g[k], span_busy
 
     def _account_tick(self, dt: float, package_w: float, cpu_w: float,
                       gpu_w: float, uncore_w: float, gpu_active: bool) -> None:

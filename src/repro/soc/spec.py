@@ -22,30 +22,11 @@ tablet, ~1.5 W CPU-alone / ~2 W GPU-alone compute-bound and ~0.7 W /
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-import numpy as np
-
-from repro._compat import warn_once
 from repro.errors import SpecError
 from repro.units import gb_per_s, ghz, ms
-
-
-def _pow(base, exponent: float):
-    """``base ** exponent`` for a scalar or an ndarray, bit-stable.
-
-    numpy's vectorized pow kernel can differ from C ``pow`` by 1 ulp on
-    some inputs, which would break the fast clock mode's guarantee that
-    batched model evaluation is bit-identical to per-tick scalar calls
-    (see :func:`repro.soc.power.package_power_batch`).  Arrays therefore
-    exponentiate element-wise through python floats, which route to the
-    same libm ``pow`` the scalar model uses.
-    """
-    if isinstance(base, np.ndarray):
-        return np.array([b ** exponent for b in base.tolist()])
-    return base ** exponent
 
 #: Valid simulator clock modes (see docs/PERFORMANCE.md):
 #:
@@ -56,95 +37,21 @@ def _pow(base, exponent: float):
 #:   target, no throttle, no pending event) in closed-form macro-steps.
 #:   End-to-end time/energy/items agree with exact mode to < 1e-6
 #:   relative; traces are decimated, not per-tick.
-#: * ``"bounded"`` - everything ``fast`` does, plus phase-outcome
-#:   replay and span-vectorized commits that are *not* bit-identical
-#:   per tick.  End-to-end observables are held to the explicit
-#:   tolerance contract ``PlatformSpec.bounded_tol``
+#: * ``"bounded"`` - everything ``fast`` does, plus whole-phase
+#:   outcome replay, which is *not* bit-identical per tick.  End-to-end
+#:   observables are held to the explicit tolerance contract
+#:   ``PlatformSpec.bounded_tol``
 #:   (``|bounded - exact| <= tol * max(1, |exact|)``), enforced by the
 #:   differential sweep in ``tests/soc/test_differential_modes.py``.
 #:   The mode of choice for wide sweeps/chaos/fleet fan-outs where
 #:   byte-stability is not required.
 TICK_MODES = ("exact", "fast", "bounded")
 
-#: Fallback mode used when a factory is called without an explicit
-#: ``tick_mode``.  Only the DEPRECATED global shims below ever change
-#: it; new code passes ``tick_mode=`` to the factories (or uses
-#: :meth:`PlatformSpec.with_tick_mode`) and never touches this.
-_default_tick_mode = "exact"
-
-
-def _validated_tick_mode(mode: str) -> str:
-    if mode not in TICK_MODES:
-        raise SpecError(f"tick mode {mode!r} not in {TICK_MODES}")
-    return mode
-
 
 def _resolve_tick_mode(mode: Optional[str]) -> str:
-    """Factory helper: explicit mode wins; None falls back to the
-    (legacy) process default."""
-    if mode is None:
-        return _default_tick_mode
-    return _validated_tick_mode(mode)
-
-
-def default_tick_mode() -> str:
-    """The tick mode factories fall back to.
-
-    .. deprecated:: 1.2
-       The process-global default is being retired; pass ``tick_mode=``
-       to the platform factories instead (docs/FLEET.md, "Migrating").
-    """
-    warn_once(
-        "soc.default_tick_mode",
-        "default_tick_mode() is deprecated; pass tick_mode= to the "
-        "platform factories (haswell_desktop(tick_mode='fast')) instead")
-    return _default_tick_mode
-
-
-def set_default_tick_mode(mode: str) -> str:
-    """Set the factory default tick mode; returns the previous one.
-
-    .. deprecated:: 1.2
-       Mutable process-global state: a library call (or another
-       thread) observing the default mid-flight gets whatever mode the
-       last caller left behind.  Pass ``tick_mode=`` explicitly to
-       :func:`haswell_desktop`, :func:`ultrabook_15w` and
-       :func:`baytrail_tablet`, or rebuild an existing spec with
-       :meth:`PlatformSpec.with_tick_mode`.
-    """
-    warn_once(
-        "soc.set_default_tick_mode",
-        "set_default_tick_mode() is deprecated; pass tick_mode= to the "
-        "platform factories (haswell_desktop(tick_mode='fast')) or use "
-        "PlatformSpec.with_tick_mode() instead")
-    return _set_default_tick_mode(mode)
-
-
-def _set_default_tick_mode(mode: str) -> str:
-    global _default_tick_mode
-    previous = _default_tick_mode
-    _default_tick_mode = _validated_tick_mode(mode)
-    return previous
-
-
-@contextmanager
-def use_tick_mode(mode: str) -> Iterator[None]:
-    """Scoped :func:`set_default_tick_mode`.
-
-    .. deprecated:: 1.2
-       Same global-state problem in context-manager clothing; kept as
-       a shim so existing scripts run (with one DeprecationWarning).
-       Pass ``tick_mode=`` to the factories instead.
-    """
-    warn_once(
-        "soc.use_tick_mode",
-        "use_tick_mode() is deprecated; pass tick_mode= to the platform "
-        "factories (haswell_desktop(tick_mode='fast')) instead")
-    previous = _set_default_tick_mode(mode)
-    try:
-        yield
-    finally:
-        _set_default_tick_mode(previous)
+    """Factory helper: None means the reference ``"exact"`` mode (the
+    spec itself validates everything else)."""
+    return "exact" if mode is None else mode
 
 
 @dataclass(frozen=True)
@@ -183,7 +90,7 @@ class CpuSpec:
     def dynamic_power_w(self, freq_hz: float, active_cores: float) -> float:
         """Dynamic power of ``active_cores`` cores running at ``freq_hz``."""
         f_ghz = freq_hz / ghz(1.0)
-        return self.dyn_power_coeff_w * active_cores * _pow(f_ghz, self.dyn_power_exponent)
+        return self.dyn_power_coeff_w * active_cores * f_ghz ** self.dyn_power_exponent
 
     def instruction_rate(self, freq_hz: float, active_cores: float) -> float:
         """Peak instructions/second across ``active_cores`` cores."""
@@ -225,7 +132,7 @@ class GpuSpec:
     def dynamic_power_w(self, freq_hz: float, utilization: float) -> float:
         """Dynamic power at ``freq_hz`` with EU array ``utilization`` (0..1)."""
         f_ghz = freq_hz / ghz(1.0)
-        return self.dyn_power_coeff_w * utilization * _pow(f_ghz, self.dyn_power_exponent)
+        return self.dyn_power_coeff_w * utilization * f_ghz ** self.dyn_power_exponent
 
     def instruction_rate(self, freq_hz: float, occupancy: float) -> float:
         """Peak GPU instructions/second at ``occupancy`` (0..1)."""
@@ -367,7 +274,7 @@ def haswell_desktop(tick_mode: Optional[str] = None) -> PlatformSpec:
     4600 class GPU (20 EUs x 7 threads x SIMD16 = 2240-way), 8 GB RAM.
 
     ``tick_mode`` selects the simulator clock mode explicitly (one of
-    :data:`TICK_MODES`); None keeps the legacy process default.
+    :data:`TICK_MODES`); None means ``"exact"``.
     """
     cpu = CpuSpec(
         name="i7-4770-class",

@@ -17,6 +17,8 @@ import pickle
 
 import pytest
 
+from repro.core.metrics import metric_by_name
+from repro.errors import HarnessError
 from repro.harness import engine as engine_mod
 from repro.harness.cli import _make_cache
 from repro.harness.engine import (
@@ -90,6 +92,26 @@ class TestKeySensitivity:
         energy = dataclasses.replace(base_spec,
                                      scheduler=SchedulerSpec.eas("energy"))
         assert edp.cache_key() != energy.cache_key()
+
+
+class TestEasMetricRoundTrip:
+    """Workers rebuild the EAS metric from ``SchedulerSpec.metric``
+    alone, so a metric object its name does not reproduce must be
+    refused at spec construction, not silently run as another one."""
+
+    def test_name_alias_with_other_exponent_rejected(self):
+        from repro.core.metrics import EnergyMetric
+
+        with pytest.raises(HarnessError, match="edp"):
+            SchedulerSpec.eas(EnergyMetric(name="edp", delay_exponent=3.0))
+
+    def test_standard_and_constrained_objects_round_trip(self):
+        from repro.core.metrics import ED2, EDP, ENERGY, ConstrainedMetric
+
+        for metric in (ENERGY, EDP, ED2,
+                       ConstrainedMetric.constrain(EDP, 2.0)):
+            spec = SchedulerSpec.eas(metric)
+            assert metric_by_name(spec.metric) == metric
 
 
 class TestIntegrity:

@@ -160,11 +160,12 @@ class TestHarnessIntegration:
         with pytest.raises(HarnessError):
             RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
                     scheduler=SchedulerSpec.eas())
-        # The legacy one-string spelling still fails loudly when
-        # malformed (no silent None).
+        # Only a typed TenancySpec is accepted: a bare tenant roster
+        # fails loudly at construction (no silent None).
         with pytest.raises(HarnessError):
             RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
-                    scheduler=SchedulerSpec.eas(), tenancy="fifo")
+                    scheduler=SchedulerSpec.eas(),
+                    tenancy=parse_tenant_specs(MIX))
 
     def test_result_cache_round_trip(self, tmp_path):
         spec = RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,

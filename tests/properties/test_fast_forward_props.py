@@ -3,8 +3,8 @@
 The fast clock mode's macro-steps jump hours of simulated time in one
 arithmetic move, so the natural failure mode is stepping *across* a
 scheduled fault.  The simulator's event-source contract says that can
-never happen: both clock modes bound every advance - scalar tick,
-batched span, or macro-step - by the event horizon.  We drive randomly
+never happen: both clock modes bound every advance - scalar tick or
+macro-step - by the event horizon.  We drive randomly
 scheduled MSR wrap jumps (the fault substrate's event-source client)
 through idle waits and real phases in both modes and require every
 event to fire exactly once, at its scheduled instant, identically in

@@ -1,10 +1,7 @@
 """TenancySpec: the typed replacement for 'policy;quantum;tenants'."""
 
-import warnings
-
 import pytest
 
-import repro._compat
 from repro.errors import HarnessError, SchedulingError, SpecError
 from repro.harness.engine import KIND_MULTIPROGRAM, RunSpec, SchedulerSpec
 from repro.runtime.tenancy import TenancySpec, TenantSpec, parse_tenant_specs
@@ -18,19 +15,7 @@ def _typed() -> TenancySpec:
                        tenants=parse_tenant_specs(MIX))
 
 
-def _reset_warning(key: str) -> None:
-    repro._compat._warned_once.discard(key)
-
-
 class TestRoundTrip:
-    def test_parse_inverts_legacy_text(self):
-        spec = _typed()
-        assert TenancySpec.parse(spec.legacy_text()) == spec
-
-    def test_legacy_text_shape(self):
-        # Zero priorities are normalized away ("BS:0" -> "BS").
-        assert _typed().legacy_text() == "priority;3;BS,CC:5:40"
-
     def test_tenant_text_reconstructs(self):
         assert _typed().tenant_text == "BS,CC:5:40"
 
@@ -63,12 +48,6 @@ class TestValidation:
         with pytest.raises(SchedulingError):
             TenancySpec(tenants=("BS", "CC"))
 
-    def test_parse_malformed(self):
-        for text in ("fifo", "fifo;2", "fifo;x;BS,CC"):
-            with pytest.raises(SchedulingError):
-                TenancySpec.parse(text)
-
-
 class TestDeadlineValidation:
     """Regression: the parser accepted negative/zero/NaN/inf deadlines,
     which corrupt the arbiter's earliest-deadline ordering."""
@@ -99,22 +78,13 @@ class TestDeadlineValidation:
         spec = TenancySpec(tenants=parse_tenant_specs("BS:0:40,CC"))
         assert spec.tenants[0].deadline_s == 40.0
         assert spec.tenants[1].deadline_s is None
-        assert TenancySpec.parse(spec.legacy_text()) == spec
+        assert parse_tenant_specs(spec.tenant_text) == spec.tenants
 
 
 class TestCacheKey:
     def _spec(self, tenancy) -> RunSpec:
         return RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
                        scheduler=SchedulerSpec.eas("edp"), tenancy=tenancy)
-
-    def test_legacy_and_typed_spellings_share_cache_key(self):
-        _reset_warning("engine.RunSpec.tenancy-string")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = self._spec(f"priority;3;{MIX}")
-        typed = self._spec(_typed())
-        assert legacy.cache_key() == typed.cache_key()
-        assert legacy.tenancy == typed.tenancy  # shim parsed in place
 
     def test_cache_key_sensitive_to_tenancy_fields(self):
         base = self._spec(_typed())
@@ -140,39 +110,30 @@ class TestCacheKey:
 
 
 class TestDeprecationShim:
-    def test_legacy_string_warns_exactly_once(self):
-        _reset_warning("engine.RunSpec.tenancy-string")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = self_spec = self._make("fifo;2;BS,CC")
-            second = self._make("fifo;2;BS,CC")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "TenancySpec" in str(deprecations[0].message)
-        assert isinstance(first.tenancy, TenancySpec)
-        assert isinstance(second.tenancy, TenancySpec)
-        assert self_spec.tenancy.policy == "fifo"
+    """The retired one-string spelling ``"policy;quantum;tenants"``:
+    anything but a typed :class:`TenancySpec` fails at construction."""
 
     def test_malformed_legacy_string_raises_harness_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(HarnessError):
-                self._make("fifo")
+        with pytest.raises(HarnessError):
+            self._make("fifo")
 
-    def test_empty_string_means_no_tenancy(self):
-        spec = RunSpec(platform=haswell_desktop(), workload="MM",
-                       scheduler=SchedulerSpec.eas("edp"), tenancy="")
-        assert spec.tenancy is None
+    def test_legacy_string_raises_harness_error(self):
+        with pytest.raises(HarnessError, match="TenancySpec"):
+            self._make(f"priority;3;{MIX}")
+
+    def test_empty_string_raises_harness_error(self):
+        with pytest.raises(HarnessError):
+            RunSpec(platform=haswell_desktop(), workload="MM",
+                    scheduler=SchedulerSpec.eas("edp"), tenancy="")
 
     def test_multiprogram_requires_tenancy(self):
         with pytest.raises(HarnessError):
             RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
                     scheduler=SchedulerSpec.eas("edp"))
 
-    def _make(self, text: str) -> RunSpec:
+    def _make(self, tenancy) -> RunSpec:
         return RunSpec(platform=haswell_desktop(), kind=KIND_MULTIPROGRAM,
-                       scheduler=SchedulerSpec.eas("edp"), tenancy=text)
+                       scheduler=SchedulerSpec.eas("edp"), tenancy=tenancy)
 
 
 class TestTenantSpecInterop:

@@ -5,8 +5,8 @@ computed*, not *what is computed*: end-to-end time, energy, and item
 counts must agree with the exact tick loop to better than 1e-6
 relative on every tier-1 scenario, and the scheduler must take the
 same decisions.  This file pins that claim, plus the supporting
-contracts it leans on: the PCU fast-forward interface, multi-wrap MSR
-bulk deposits, and the bit-equality of the vectorized model twins.
+contracts it leans on: the PCU fast-forward interface and multi-wrap
+MSR bulk deposits.
 """
 
 from dataclasses import replace
@@ -19,13 +19,11 @@ from repro.core.scheduler import EnergyAwareScheduler
 from repro.errors import SimulationError
 from repro.harness.experiment import run_application
 from repro.obs.observer import Observer
-from repro.soc.device import compute_rates, compute_rates_batch
 from repro.soc.faults import FaultConfig
 from repro.soc.msr import EnergyMsr
 from repro.soc.pcu import Pcu
-from repro.soc.power import package_power, package_power_batch
 from repro.soc.simulator import IntegratedProcessor, PhaseRequest
-from repro.soc.spec import baytrail_tablet, haswell_desktop
+from repro.soc.spec import haswell_desktop
 from repro.soc.work import CostProfile, WorkRegion, split_for_offload
 from repro.workloads.registry import suite_workloads
 
@@ -177,7 +175,7 @@ class TestFastModePhases:
 
 
 class TestPcuFastForwardContract:
-    """settled / time_to_next_transition / macro_step / clone."""
+    """settled / time_to_next_transition / macro_step / bound_dt."""
 
     def _pcu(self):
         return Pcu(haswell_desktop())
@@ -260,24 +258,6 @@ class TestPcuFastForwardContract:
         assert a.state.gpu_freq_hz == b.state.gpu_freq_hz
         assert a.state.cap_throttle_hz == b.state.cap_throttle_hz
 
-    def test_clone_is_independent(self):
-        pcu = self._pcu()
-        twin = pcu.clone()
-        assert twin.state == pcu.state
-        twin.step(0.0, 1e-3, cpu_active=True, gpu_active=True,
-                  last_package_power_w=10.0)
-        assert twin.state != pcu.state
-        assert pcu.state.last_gpu_active_t == float("-inf")
-
-    def test_edge_pending(self):
-        pcu = self._pcu()
-        assert pcu.edge_pending(True)
-        assert not pcu.edge_pending(False)
-        pcu.step(0.0, 1e-3, cpu_active=True, gpu_active=True,
-                 last_package_power_w=10.0)
-        assert not pcu.edge_pending(True)
-        assert pcu.edge_pending(False)
-
     def test_bound_dt_snaps_to_sample_grid_only_when_armed(self):
         pcu = self._pcu()
         interval = pcu.spec.pcu.sample_interval_s
@@ -329,66 +309,3 @@ class TestMsrMultiWrapDeposit:
         with pytest.raises(SimulationError):
             msr.deposit_power(1.0, -1.0)
 
-
-class TestBatchModelBitEquality:
-    """The vectorized model twins must match the scalar models bit for
-    bit, element-wise - the batched-transient path depends on it."""
-
-    def _freq_grid(self, spec, n=512):
-        rng = np.random.default_rng(0xBEEF)
-        cpu = rng.uniform(spec.cpu.min_freq_hz, spec.cpu.turbo_freq_hz, n)
-        gpu = rng.uniform(spec.gpu.min_freq_hz, spec.gpu.turbo_freq_hz, n)
-        return cpu, gpu
-
-    @pytest.mark.parametrize("tablet", [False, True])
-    def test_compute_rates_batch(self, tablet, memory_cost):
-        spec = baytrail_tablet() if tablet else haswell_desktop()
-        cpu_f, gpu_f = self._freq_grid(spec)
-        batch = compute_rates_batch(spec, memory_cost, cpu_f, gpu_f,
-                                    cpu_active_cores=3.85,
-                                    gpu_items_in_flight=5000.0,
-                                    cpu_active=True, gpu_active=True)
-        for i in range(len(cpu_f)):
-            scalar = compute_rates(spec, memory_cost, cpu_f[i], gpu_f[i],
-                                   3.85, 5000.0,
-                                   cpu_active=True, gpu_active=True)
-            assert batch.cpu_items_per_s[i] == scalar.cpu_items_per_s
-            assert batch.gpu_items_per_s[i] == scalar.gpu_items_per_s
-            assert (batch.cpu_memory_stall_fraction[i]
-                    == scalar.cpu_memory_stall_fraction)
-            assert (batch.gpu_memory_stall_fraction[i]
-                    == scalar.gpu_memory_stall_fraction)
-            assert (batch.cpu_traffic_bytes_per_s[i]
-                    == scalar.cpu_traffic_bytes_per_s)
-            assert (batch.gpu_traffic_bytes_per_s[i]
-                    == scalar.gpu_traffic_bytes_per_s)
-
-    def test_compute_rates_batch_pure_compute(self, compute_cost):
-        spec = haswell_desktop()
-        cpu_f, gpu_f = self._freq_grid(spec, n=128)
-        batch = compute_rates_batch(spec, compute_cost, cpu_f, gpu_f,
-                                    4.0, 2240.0, True, True)
-        for i in range(len(cpu_f)):
-            scalar = compute_rates(spec, compute_cost, cpu_f[i], gpu_f[i],
-                                   4.0, 2240.0, True, True)
-            assert batch.cpu_items_per_s[i] == scalar.cpu_items_per_s
-            assert batch.gpu_items_per_s[i] == scalar.gpu_items_per_s
-
-    @pytest.mark.parametrize("tablet", [False, True])
-    def test_package_power_batch(self, tablet, memory_cost):
-        spec = baytrail_tablet() if tablet else haswell_desktop()
-        cpu_f, gpu_f = self._freq_grid(spec)
-        rates = compute_rates_batch(spec, memory_cost, cpu_f, gpu_f,
-                                    3.85, 5000.0, True, True)
-        batch = package_power_batch(spec, rates, cpu_f, gpu_f,
-                                    cpu_active_cores=3.85, gpu_active=True)
-        for i in range(len(cpu_f)):
-            scalar_rates = compute_rates(spec, memory_cost, cpu_f[i],
-                                         gpu_f[i], 3.85, 5000.0, True, True)
-            scalar = package_power(spec, scalar_rates, cpu_f[i], gpu_f[i],
-                                   3.85, True)
-            assert batch.cpu_w[i] == scalar.cpu_w
-            assert batch.gpu_w[i] == scalar.gpu_w
-            assert batch.uncore_w[i] == scalar.uncore_w
-            assert (batch.cpu_w[i] + batch.gpu_w[i] + batch.uncore_w[i]
-                    + batch.idle_w) == scalar.package_w

@@ -10,9 +10,15 @@ exact-mode run flips a fingerprint here and fails with a readable diff.
 
 The default run recomputes a cheap representative subset (one regular
 and one irregular workload per platform); set ``REPRO_GOLDEN_FULL=1``
-to sweep every recorded entry (CI's scheduled job does).  To bless an
-*intentional* semantics change, regenerate with
-``tools/record_goldens.py`` and say why in the commit message.
+to sweep every recorded entry (CI's scheduled job does).
+
+``tests/goldens/fast_mode.json`` and ``bounded_mode.json`` pin the same
+EAS suite runs under the accelerated clock modes.  Those runs are cheap
+(macro-steps and phase replay), so every entry is checked on every
+run: a refactor of an accelerated path must leave its output
+byte-identical.  To bless an *intentional* semantics change,
+regenerate with ``tools/record_goldens.py [--mode MODE]`` and say why
+in the commit message.
 """
 
 import json
@@ -24,10 +30,13 @@ from repro.harness.diff import (
     collect_exact_fingerprints,
     compute_fingerprint,
     exact_fingerprint_entries,
+    mode_fingerprint_entries,
 )
 
-GOLDENS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "goldens", "exact_mode.json")
+GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "goldens")
+
+#: Accelerated clock modes with their own goldens.
+ACCELERATED_MODES = ("fast", "bounded")
 
 #: Cheap default coverage: the fastest suite entries on each platform,
 #: one regular (MB) and one irregular (BS) workload.
@@ -41,21 +50,22 @@ _SUBSET = (
 FULL = os.environ.get("REPRO_GOLDEN_FULL", "") == "1"
 
 
-def _recorded() -> dict:
-    with open(GOLDENS_PATH) as fh:
+def _recorded(mode: str = "exact") -> dict:
+    with open(os.path.join(GOLDENS_DIR, f"{mode}_mode.json")) as fh:
         return json.load(fh)["fingerprints"]
 
 
-def _describe_drift(entry: str, recorded: str, computed: str) -> str:
+def _describe_drift(entry: str, recorded: str, computed: str,
+                    mode: str = "exact") -> str:
     return (
-        f"exact-mode fingerprint drift in {entry!r}:\n"
+        f"{mode}-mode fingerprint drift in {entry!r}:\n"
         f"  recorded: {recorded}\n"
         f"  computed: {computed}\n"
-        f"The exact clock mode is the byte-stable reference; this means "
-        f"a code change altered its simulation semantics. If that is "
-        f"intentional, regenerate tests/goldens/exact_mode.json with "
-        f"tools/record_goldens.py and explain the change in the commit; "
-        f"if not, you have a regression."
+        f"This means a code change altered the {mode} clock mode's "
+        f"simulation semantics. If that is intentional, regenerate "
+        f"tests/goldens/{mode}_mode.json with tools/record_goldens.py "
+        f"--mode {mode} and explain the change in the commit; if not, "
+        f"you have a regression."
     )
 
 
@@ -71,6 +81,20 @@ def test_exact_fingerprint_matches_golden(entry):
     recorded = _recorded()[entry]
     computed = compute_fingerprint(entry)
     assert computed == recorded, _describe_drift(entry, recorded, computed)
+
+
+@pytest.mark.parametrize("mode", ACCELERATED_MODES)
+def test_mode_goldens_cover_every_entry(mode):
+    assert sorted(_recorded(mode)) == sorted(mode_fingerprint_entries())
+
+
+@pytest.mark.parametrize("entry", mode_fingerprint_entries())
+@pytest.mark.parametrize("mode", ACCELERATED_MODES)
+def test_mode_fingerprint_matches_golden(mode, entry):
+    recorded = _recorded(mode)[entry]
+    computed = compute_fingerprint(entry, mode)
+    assert computed == recorded, _describe_drift(entry, recorded, computed,
+                                                 mode)
 
 
 def test_drift_report_is_readable():

@@ -1,10 +1,8 @@
-"""The unified ``python -m repro`` front door and its deprecated aliases."""
+"""The unified ``python -m repro`` front door."""
 
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.cli import main
 
@@ -77,16 +75,3 @@ class TestModuleEntrypoints:
         assert proc.returncode == 2
         assert "serve" in proc.stderr  # did-you-mean
 
-    def test_deprecated_harness_alias_warns_and_works(self):
-        proc = _run_module(["-m", "repro.harness", "--list"])
-        assert proc.returncode == 0
-        assert "fig9" in proc.stdout
-        assert "deprecated" in proc.stderr
-        assert proc.stderr.count("DeprecationWarning") == 1
-
-    def test_deprecated_service_alias_warns_and_works(self, tmp_path):
-        proc = _run_module(["-m", "repro.service", "status",
-                            "--db", str(tmp_path / "svc.db")])
-        assert proc.returncode == 0
-        assert "deprecated" in proc.stderr
-        assert proc.stderr.count("DeprecationWarning") == 1

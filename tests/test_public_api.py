@@ -18,14 +18,13 @@ EXPECTED_API = sorted([
     "GpuFaultError", "ServiceError", "StoreSchemaError", "AdmissionError",
     # platforms & simulator
     "PlatformSpec", "haswell_desktop", "baytrail_tablet",
-    "IntegratedProcessor", "KernelCostModel", "use_tick_mode",
-    "TICK_MODES",
+    "IntegratedProcessor", "KernelCostModel", "TICK_MODES",
     # fault injection
     "FaultConfig", "FaultySoC",
     # runtime
     "Kernel", "ConcordRuntime",
     # schedulers
-    "EnergyAwareScheduler", "SchedulerConfig", "EasConfig",
+    "EnergyAwareScheduler", "SchedulerConfig",
     "HintedEnergyAwareScheduler", "CpuOnlyScheduler", "GpuOnlyScheduler",
     "StaticAlphaScheduler", "ProfiledPerfScheduler", "RaceToIdleScheduler",
     # characterization & metrics (docs/OBJECTIVES.md)
@@ -102,22 +101,9 @@ class TestBackwardCompat:
         from repro import (  # noqa: F401
             EDP,
             ConcordRuntime,
-            EasConfig,
             EnergyAwareScheduler,
             IntegratedProcessor,
             ReproError,
             haswell_desktop,
             run_application,
         )
-
-    def test_easconfig_is_deprecated_schedulerconfig(self):
-        import warnings
-
-        from repro import EasConfig, SchedulerConfig
-
-        assert issubclass(EasConfig, SchedulerConfig)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EasConfig()
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)

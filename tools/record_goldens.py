@@ -1,15 +1,18 @@
-"""Record exact-mode golden fingerprints into tests/goldens/.
+"""Record golden fingerprints into tests/goldens/.
 
-The golden file pins the byte-stable reference semantics of the
+``exact_mode.json`` pins the byte-stable reference semantics of the
 simulator: sha256 fingerprints of EAS suite runs, alpha sweeps, a chaos
 campaign, a small fleet dispatch, and multiprogram co-runs, all under
-``tick_mode="exact"``.  ``tests/soc/test_golden_regression.py`` fails
-with a readable diff when any entry drifts; the fast/bounded clock
-modes are held to these same references by the differential sweep.
+``tick_mode="exact"``.  ``fast_mode.json`` and ``bounded_mode.json``
+pin the same EAS suite runs under the accelerated clock modes, so a
+refactor of an accelerated path must keep its output byte-identical.
+``tests/soc/test_golden_regression.py`` fails with a readable diff
+when any entry drifts; the fast/bounded clock modes are additionally
+held to the exact references by the differential sweep.
 
 Usage::
 
-    PYTHONPATH=src python tools/record_goldens.py [--entry NAME ...]
+    PYTHONPATH=src python tools/record_goldens.py [--mode MODE] [--entry NAME ...]
 
 Re-recording is a deliberate act: only run this when an *intentional*
 simulation-semantics change has been reviewed, and say so in the
@@ -27,23 +30,33 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.harness.diff import (  # noqa: E402
-    collect_exact_fingerprints,
+    compute_fingerprint,
     exact_fingerprint_entries,
+    mode_fingerprint_entries,
 )
+from repro.soc.spec import TICK_MODES  # noqa: E402
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "tests",
-                           "goldens", "exact_mode.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests",
+                          "goldens")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--mode", choices=TICK_MODES,
+                        default="exact",
+                        help="clock mode to record (default: exact)")
     parser.add_argument("--entry", action="append", default=None,
                         help="record only the named entries "
                              "(default: every known entry)")
-    parser.add_argument("--output", default=GOLDEN_PATH)
+    parser.add_argument("--output", default=None,
+                        help="default: tests/goldens/<mode>_mode.json")
     args = parser.parse_args(argv)
+    if args.output is None:
+        args.output = os.path.join(GOLDEN_DIR, f"{args.mode}_mode.json")
 
-    entries = args.entry or exact_fingerprint_entries()
+    entries = args.entry or (exact_fingerprint_entries()
+                             if args.mode == "exact"
+                             else mode_fingerprint_entries())
     existing = {}
     if os.path.exists(args.output):
         with open(args.output) as fh:
@@ -52,7 +65,7 @@ def main(argv=None) -> int:
     fingerprints = dict(existing)
     for entry in entries:
         started = time.perf_counter()
-        fingerprints[entry] = collect_exact_fingerprints([entry])[entry]
+        fingerprints[entry] = compute_fingerprint(entry, args.mode)
         status = ""
         if entry in existing and existing[entry] != fingerprints[entry]:
             status = "  (CHANGED)"
@@ -60,9 +73,9 @@ def main(argv=None) -> int:
               f"[{time.perf_counter() - started:.1f}s]{status}")
 
     payload = {
-        "comment": ("Exact-mode golden fingerprints. Regenerate with "
-                    "tools/record_goldens.py only for reviewed, "
-                    "intentional simulation-semantics changes."),
+        "comment": (f"{args.mode.capitalize()}-mode golden fingerprints. "
+                    f"Regenerate with tools/record_goldens.py only for "
+                    f"reviewed, intentional simulation-semantics changes."),
         "fingerprints": dict(sorted(fingerprints.items())),
     }
     os.makedirs(os.path.dirname(args.output), exist_ok=True)
