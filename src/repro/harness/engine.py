@@ -22,19 +22,21 @@ Three layers (see docs/PARALLELISM.md):
   corrupted or truncated files are evicted and recomputed, never
   trusted.  Rooted at ``$REPRO_CACHE_DIR/runs`` by default, next to
   the existing characterization JSON cache.
-* :class:`ExecutionEngine` - executes batches of specs either
-  serially in-process (``jobs=1``, the debugging path and the
-  equivalence baseline) or through a ``ProcessPoolExecutor``
-  (``jobs>1``), fronting both with the cache.  Worker observers
-  (spans, events, decisions, metrics) are merged back into the
-  parent :class:`~repro.obs.observer.Observer` so traces stay whole.
+* :class:`ExecutionEngine` - runs every spec one way: the cache
+  answers first, then :func:`execute_spec` runs each remaining spec,
+  either serially in-process (``jobs=1``, the debugging path and the
+  equivalence baseline) or one spec per task in a
+  ``ProcessPoolExecutor`` (``jobs>1``).  Worker observers (spans,
+  events, decisions, metrics) are merged back into the parent
+  :class:`~repro.obs.observer.Observer` so traces stay whole.
 
 The hot paths - :func:`~repro.harness.suite.sweep_alphas`,
 :func:`~repro.harness.suite.evaluate_suite`,
 :func:`~repro.harness.chaos.run_chaos_campaign`,
 :meth:`~repro.core.characterization.PowerCharacterizer.characterize` -
 all submit their grids through this engine; the CLI exposes
-``--jobs N`` and ``--no-cache``.
+``--jobs N`` and ``--no-cache``.  :func:`check_engine_inputs` rejects
+inputs a worker could not rebuild from a spec, before any simulation.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from repro.runtime.tenancy import TenancySpec
 from repro.soc.faults import FaultConfig
 from repro.soc.simulator import IntegratedProcessor
 from repro.soc.spec import PlatformSpec
-from repro.soc.vector import VectorCore, model_identity, use_vector_core
 from repro.workloads.base import Workload
 from repro.workloads.registry import workload_by_abbrev
 
@@ -84,20 +85,24 @@ from repro.workloads.registry import workload_by_abbrev
 #: ``fleet-cell`` kind joined the dispatch table.
 #:
 #: v5: the ``bounded`` tick mode landed (``PlatformSpec.bounded_tol``
-#: joined the canonical platform dict) and workers execute specs in
-#: model-identity gangs sharing a :class:`~repro.soc.vector.VectorCore`.
+#: joined the canonical platform dict) and workers ran specs in groups
+#: sharing rate/power model memos.
 #:
-#: v6: the ``fleet-dispatch`` kind joined the dispatch table and
-#: ``RunSpec`` grew ``fleet``/``trace``/``policy``/``dispatch_mode``
-#: (all in the canonical payload), so reference- and streaming-mode
-#: fleet results are distinct cache entries.
+#: v6: a whole-fleet dispatch kind joined the dispatch table, with
+#: fleet, trace, policy and dispatch-mode fields in the canonical
+#: payload.
 #:
 #: v7: constrained objectives landed - :class:`SchedulerSpec` grew
 #: ``deadline_s`` and the ``race`` kind (race-to-idle), constrained
 #: metric names (``"edp@2"``) flow through ``SchedulerSpec.metric``,
 #: and fleet specs may carry carbon/deferral fields.  The scheduler
 #: dict layout changed, so every pre-v7 entry must miss.
-CACHE_SCHEMA_VERSION = 7
+#:
+#: v8: the whole-fleet dispatch kind and its four fields were
+#: deleted, so the canonical payload lost those keys, and workers no
+#: longer share model memos across specs.  Payloads are unchanged, but
+#: every key moved.
+CACHE_SCHEMA_VERSION = 8
 
 # -- task kinds -----------------------------------------------------------------
 
@@ -119,22 +124,10 @@ KIND_MULTIPROGRAM = "multiprogram"
 #: dispatcher fans these out; identical (platform, workload, seed)
 #: cells dedupe across thousands of nodes.
 KIND_FLEET_CELL = "fleet-cell"
-#: One full fleet dispatch: a trace routed over a fleet under one
-#: placement policy and one dispatch mode (-> FleetResult or
-#: FleetStreamResult).  Carries the fleet/trace specs, the policy
-#: name, and ``dispatch_mode`` in its canonical form - the two modes
-#: are distinct cache entries by construction.
-KIND_FLEET_DISPATCH = "fleet-dispatch"
 
 _ALL_KINDS = (KIND_APPLICATION, KIND_CHAOS_CELL, KIND_CHAOS_BASELINE,
               KIND_CHAR_SWEEP, KIND_MICROBENCH_TIMELINE, KIND_MULTIPROGRAM,
-              KIND_FLEET_CELL, KIND_FLEET_DISPATCH)
-
-#: Dispatch-mode names accepted on a ``fleet-dispatch`` spec (kept in
-#: sync with ``repro.fleet.dispatcher.DISPATCH_MODES``; duplicated
-#: here because the engine must not import the fleet layer at module
-#: scope - the fleet dispatcher imports the engine).
-_FLEET_DISPATCH_MODES = ("reference", "streaming")
+              KIND_FLEET_CELL)
 
 _SCHEDULER_KINDS = ("cpu", "gpu", "perf", "static", "eas", "race")
 _STRATEGY_NAMES = {"cpu": "CPU", "gpu": "GPU", "perf": "PERF", "eas": "EAS",
@@ -298,39 +291,11 @@ class RunSpec:
     #: Collect an Observer (spans/events/decisions/metrics) in the
     #: worker and return it for merging into the parent's.
     observe: bool = False
-    #: Fleet topology (``fleet-dispatch`` only): a
-    #: :class:`~repro.fleet.topology.FleetSpec`.  Typed loosely so the
-    #: engine never imports the fleet layer at module scope.
-    fleet: Optional[Any] = None
-    #: Arrival trace (``fleet-dispatch`` only): a
-    #: :class:`~repro.fleet.trace.TraceSpec`.
-    trace: Optional[Any] = None
-    #: Placement policy name (``fleet-dispatch`` only).
-    policy: str = ""
-    #: Dispatch implementation (``fleet-dispatch`` only): one of
-    #: ``reference`` / ``streaming``.
-    dispatch_mode: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in _ALL_KINDS:
             raise HarnessError(f"unknown run kind {self.kind!r}; "
                                f"expected one of {_ALL_KINDS}")
-        if self.kind == KIND_FLEET_DISPATCH:
-            if self.fleet is None or self.trace is None:
-                raise HarnessError(
-                    "fleet-dispatch spec needs a FleetSpec and a TraceSpec")
-            if not self.policy:
-                raise HarnessError(
-                    "fleet-dispatch spec needs a placement policy name")
-            if self.dispatch_mode not in _FLEET_DISPATCH_MODES:
-                raise HarnessError(
-                    f"fleet-dispatch spec needs dispatch_mode in "
-                    f"{_FLEET_DISPATCH_MODES}, got {self.dispatch_mode!r}")
-        elif (self.fleet is not None or self.trace is not None
-                or self.policy or self.dispatch_mode):
-            raise HarnessError(
-                f"{self.kind} spec must leave fleet/trace/policy/"
-                f"dispatch_mode empty")
         if self.kind in (KIND_APPLICATION, KIND_CHAOS_CELL,
                          KIND_MULTIPROGRAM) and self.scheduler is None:
             raise HarnessError(f"{self.kind} spec needs a scheduler")
@@ -379,12 +344,6 @@ class RunSpec:
             "tenancy": (self.tenancy.canonical_dict()
                         if self.tenancy is not None else None),
             "observe": self.observe,
-            "fleet": (self.fleet.canonical()
-                      if self.fleet is not None else None),
-            "trace": (self.trace.canonical()
-                      if self.trace is not None else None),
-            "policy": self.policy,
-            "dispatch_mode": self.dispatch_mode,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -416,15 +375,14 @@ class RunResult:
     from_cache: bool = False
 
 
-# -- compatibility probes --------------------------------------------------------
+# -- input checks ----------------------------------------------------------------
 
 def reconstructible_workload(workload: Workload) -> bool:
     """True when a worker can rebuild ``workload`` from its registry
     abbreviation alone: exact registry class, no instance state.
 
-    Ablations that mutate or subclass workloads fail this probe and
-    take the serial in-process path instead of silently simulating the
-    wrong thing in a worker.
+    Ablations that mutate or subclass workloads fail this probe;
+    :func:`~repro.harness.suite.sweep_alphas` runs those in-process.
     """
     try:
         reference = workload_by_abbrev(workload.abbrev)
@@ -433,18 +391,31 @@ def reconstructible_workload(workload: Workload) -> bool:
     return type(reference) is type(workload) and not vars(workload)
 
 
-def standard_metric_name(metric: EnergyMetric) -> Optional[str]:
-    """The metric's registry name, or None for custom metrics (which
-    carry unpicklable objective functions)."""
-    try:
-        return metric.name if metric_by_name(metric.name) == metric else None
-    except Exception:
-        return None
+def check_engine_inputs(workloads: Sequence[Workload], metric: EnergyMetric,
+                        eas_config: Optional[SchedulerConfig]
+                        ) -> SchedulerSpec:
+    """The EAS spec for an engine-run grid, or :class:`HarnessError`.
 
-
-def plain_scheduler_config(config: Optional[SchedulerConfig]) -> bool:
-    """True when ``config`` survives the canonicalize/rebuild round trip."""
-    return config is None or type(config) is SchedulerConfig
+    Workers rebuild workloads from their registry abbreviation, the
+    metric from its name and the config from its non-default fields.
+    An input those round trips would change - a subclassed or mutated
+    workload, a custom-function metric, a :class:`SchedulerConfig`
+    subclass - would silently simulate something else in a worker, so
+    it is refused here, naming the input, before any simulation (the
+    metric by :meth:`SchedulerSpec.eas`).
+    """
+    for workload in workloads:
+        if not reconstructible_workload(workload):
+            raise HarnessError(
+                f"workload {workload.abbrev!r} "
+                f"({type(workload).__name__}) cannot be rebuilt from its "
+                f"registry abbreviation; run it with sweep_alphas and "
+                f"run_application instead")
+    if eas_config is not None and type(eas_config) is not SchedulerConfig:
+        raise HarnessError(
+            f"eas_config is a {type(eas_config).__name__}, not a plain "
+            f"SchedulerConfig; workers rebuild configs from their fields")
+    return SchedulerSpec.eas(metric, eas_config)
 
 
 # -- worker-side execution -------------------------------------------------------
@@ -484,9 +455,9 @@ def _run_chaos_cell_spec(spec: RunSpec, observer: Optional[Observer]) -> Any:
 
 def _run_chaos_baseline_spec(spec: RunSpec,
                              observer: Optional[Observer]) -> Any:
-    # Ground-truth clean CPU-alone baseline, exactly as the campaign
-    # measured it inline before the engine existed (byte-compatible
-    # fingerprints depend on this).
+    # Ground-truth clean CPU-alone baseline: a plain (fault-free)
+    # processor read through its MSR; chaos fingerprints pin the
+    # exact call sequence.
     workload = workload_by_abbrev(spec.workload)
     inner = IntegratedProcessor(spec.platform)
     runtime = ConcordRuntime(inner, observer=observer)
@@ -548,17 +519,6 @@ def _run_fleet_cell_spec(spec: RunSpec, observer: Optional[Observer]) -> Any:
     return run_fleet_cell(spec, observer=observer)
 
 
-def _run_fleet_dispatch_spec(spec: RunSpec,
-                             observer: Optional[Observer]) -> Any:
-    # Lazy import: the fleet dispatcher imports this module, so the
-    # engine resolves fleet types only inside the worker.
-    from repro.fleet.dispatcher import run_fleet
-
-    return run_fleet(spec.fleet, spec.trace, policy=spec.policy,
-                     observer=observer,
-                     dispatch_mode=spec.dispatch_mode or "reference")
-
-
 _DISPATCH = {
     KIND_APPLICATION: _run_application_spec,
     KIND_CHAOS_CELL: _run_chaos_cell_spec,
@@ -567,7 +527,6 @@ _DISPATCH = {
     KIND_MICROBENCH_TIMELINE: _run_microbench_timeline_spec,
     KIND_MULTIPROGRAM: _run_multiprogram_spec,
     KIND_FLEET_CELL: _run_fleet_cell_spec,
-    KIND_FLEET_DISPATCH: _run_fleet_dispatch_spec,
 }
 
 
@@ -589,79 +548,6 @@ def execute_spec(spec: RunSpec) -> RunResult:
         # do not pickle; spans keep their recorded sim timestamps.
         observer.bind_sim_clock(None)
     return RunResult(key=spec.cache_key(), payload=payload, observer=observer)
-
-
-@dataclass(frozen=True)
-class SpecGang:
-    """An ordered batch of specs that may share one vectorized core.
-
-    A gang is the engine's unit of model-memo sharing: every member
-    resolves to the same :func:`~repro.soc.vector.model_identity`
-    (platform modulo tick mode and tolerance), so the rate/power memos
-    one member fills are bit-valid for every other.  Specs of *mixed*
-    platforms must not be ganged - their model inputs differ - and
-    :meth:`of` refuses to build one.
-
-    Construct only via :meth:`of`; the constructor performs no
-    validation (it must stay cheap for pickling into pool workers).
-    """
-
-    specs: Tuple[RunSpec, ...]
-
-    @classmethod
-    def of(cls, specs: Sequence[RunSpec]) -> "SpecGang":
-        specs = tuple(specs)
-        if not specs:
-            raise HarnessError("a SpecGang needs at least one spec")
-        identities = {model_identity(spec.platform) for spec in specs}
-        if len(identities) > 1:
-            names = sorted({spec.platform.name for spec in specs})
-            raise HarnessError(
-                "cannot gang specs with mixed platform model identities: "
-                + ", ".join(names))
-        return cls(specs=specs)
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-
-def execute_gang(gang: SpecGang) -> List[RunResult]:
-    """Execute a gang's specs in order under one shared vectorized core.
-
-    The pool submits one of these per worker chunk; the serial path
-    calls it directly, so ``jobs=1`` and ``jobs>1`` run identical code.
-    Sharing never changes results: the core's memos hold bit-stable
-    model evaluations only (see :mod:`repro.soc.vector`), so each
-    member's payload is byte-identical to an un-ganged run - the
-    engine-equivalence tests pin that down.
-    """
-    core = VectorCore()
-    with use_vector_core(core):
-        return [execute_spec(spec) for spec in gang.specs]
-
-
-def _gang_positions(specs: Sequence[RunSpec]) -> List[List[int]]:
-    """Group spec indices by platform model identity.
-
-    Order-preserving twice over: gangs appear in first-seen order and
-    each gang lists its member indices in submission order, so results
-    can be placed back positionally.
-    """
-    groups: Dict[PlatformSpec, List[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault(model_identity(spec.platform), []).append(i)
-    return list(groups.values())
-
-
-def _seed_worker(characterizations: Dict[str, str]) -> None:
-    """Pool initializer: pre-seed platform characterizations so worker
-    processes never redo the (expensive) one-time characterization."""
-    from repro.core.characterization import PlatformCharacterization
-    from repro.harness import suite
-
-    for name, text in characterizations.items():
-        suite._characterization_cache.setdefault(
-            name, PlatformCharacterization.from_json(text))
 
 
 # -- content-addressed result cache ----------------------------------------------
@@ -814,7 +700,7 @@ class ExecutionEngine:
         if to_run:
             pending = [specs[i] for i in to_run]
             if self.jobs == 1 or len(pending) == 1:
-                executed = self._run_serial(pending)
+                executed = [execute_spec(spec) for spec in pending]
             else:
                 executed = self._run_pool(pending)
             for i, result in zip(to_run, executed):
@@ -834,38 +720,19 @@ class ExecutionEngine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _run_serial(self, specs: List[RunSpec]) -> List[RunResult]:
-        executed: List[Optional[RunResult]] = [None] * len(specs)
-        for positions in _gang_positions(specs):
-            gang = SpecGang.of([specs[i] for i in positions])
-            for i, result in zip(positions, execute_gang(gang)):
-                executed[i] = result
-        return executed  # type: ignore[return-value]
-
     def _run_pool(self, specs: List[RunSpec]) -> List[RunResult]:
+        from repro.harness.suite import seed_characterizations
+
+        # Pre-seed every needed characterization so workers never redo
+        # the (expensive) one-time characterization.
         payload = self._characterization_payload(specs)
-        # Chunk each model-identity gang into at most ``jobs`` pieces:
-        # one big gang still saturates every worker, while each chunk
-        # keeps enough siblings together to warm a shared core.
-        chunks: List[List[int]] = []
-        for positions in _gang_positions(specs):
-            pieces = min(self.jobs, len(positions))
-            size = -(-len(positions) // pieces)  # ceil division
-            for start in range(0, len(positions), size):
-                chunks.append(positions[start:start + size])
-        workers = min(self.jobs, len(chunks))
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   initializer=_seed_worker,
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(specs)),
+                                   initializer=seed_characterizations,
                                    initargs=(payload,))
         futures = []
         try:
-            futures = [pool.submit(execute_gang,
-                                   SpecGang.of([specs[i] for i in chunk]))
-                       for chunk in chunks]
-            results: List[Optional[RunResult]] = [None] * len(specs)
-            for chunk, future in zip(chunks, futures):
-                for i, result in zip(chunk, future.result()):
-                    results[i] = result
+            futures = [pool.submit(execute_spec, spec) for spec in specs]
+            results = [future.result() for future in futures]
         except BaseException:
             # KeyboardInterrupt / SIGTERM mid-batch: without this, the
             # plain `with` block would wait for every queued spec and
@@ -874,7 +741,7 @@ class ExecutionEngine:
             self._teardown_pool(pool, futures)
             raise
         pool.shutdown(wait=True)
-        return results  # type: ignore[return-value]
+        return results
 
     @staticmethod
     def _teardown_pool(pool: ProcessPoolExecutor, futures: List) -> None:
@@ -898,6 +765,11 @@ class ExecutionEngine:
                                   specs: List[RunSpec]) -> Dict[str, str]:
         """Characterize (in the parent, possibly through this very
         engine) every platform the batch's EAS/chaos specs need."""
+        from repro.harness.suite import (
+            characterization_key,
+            get_characterization,
+        )
+
         platforms: Dict[str, PlatformSpec] = {}
         for spec in specs:
             needs = (spec.kind in (KIND_CHAOS_CELL, KIND_MULTIPROGRAM,
@@ -906,11 +778,10 @@ class ExecutionEngine:
                          and spec.scheduler is not None
                          and spec.scheduler.kind == "eas"))
             if needs:
-                platforms.setdefault(spec.platform.name, spec.platform)
-        from repro.harness.suite import get_characterization
-
-        return {name: get_characterization(platform, engine=self).to_json()
-                for name, platform in platforms.items()}
+                platforms.setdefault(characterization_key(spec.platform),
+                                     spec.platform)
+        return {key: get_characterization(platform, engine=self).to_json()
+                for key, platform in platforms.items()}
 
     def _observe_batch(self, obs: Observer, specs: List[RunSpec],
                        results: List[RunResult], executed: int) -> None:

@@ -23,36 +23,73 @@ percent, higher is better, Oracle = 100%), matching Figs. 9-12.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.baselines import ProfiledPerfScheduler, StaticAlphaScheduler
-from repro.core.characterization import PlatformCharacterization, PowerCharacterizer
+from repro.core.baselines import StaticAlphaScheduler
+from repro.core.characterization import (
+    DEFAULT_SWEEP_STEP,
+    PlatformCharacterization,
+    PowerCharacterizer,
+)
 from repro.core.metrics import EnergyMetric
-from repro.core.scheduler import EnergyAwareScheduler, SchedulerConfig
+from repro.core.scheduler import SchedulerConfig
 from repro.errors import HarnessError
 from repro.harness.engine import (
     ExecutionEngine,
     RunSpec,
     SchedulerSpec,
+    check_engine_inputs,
     get_default_engine,
-    plain_scheduler_config,
     reconstructible_workload,
-    standard_metric_name,
 )
 from repro.harness.experiment import ApplicationRun, run_application
-from repro.soc.spec import PlatformSpec
+from repro.soc.spec import PlatformSpec, model_identity
 from repro.workloads.base import Workload
 from repro.workloads.microbench import standard_microbenches
 
 #: The paper's exhaustive-search grid.
 ORACLE_ALPHA_STEP = 0.1
 
+#: Process cache, keyed by :func:`characterization_key`.  Written only
+#: by this module (:func:`get_characterization` and
+#: :func:`seed_characterizations`).
 _characterization_cache: Dict[str, PlatformCharacterization] = {}
 
 
-def get_characterization(spec: PlatformSpec, sweep_step: float = 0.05,
+def characterization_key(spec: PlatformSpec,
+                         sweep_step: float = DEFAULT_SWEEP_STEP) -> str:
+    """Digest of everything that decides a platform's characterization:
+    its model identity (every spec field except the stepping ones) and
+    the sweep grid step."""
+    payload = json.dumps({"platform": asdict(model_identity(spec)),
+                          "sweep_step": sweep_step},
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def characterization_path(cache_dir: str, spec: PlatformSpec,
+                          sweep_step: float = DEFAULT_SWEEP_STEP) -> str:
+    """Where :func:`get_characterization` persists ``spec``'s fit."""
+    key = characterization_key(spec, sweep_step)
+    return os.path.join(cache_dir,
+                        f"characterization-{spec.name}-{key[:16]}.json")
+
+
+def seed_characterizations(texts: Mapping[str, str]) -> None:
+    """Adopt serialized fits (``characterization_key -> JSON``) into
+    the process cache without overwriting one already there.  Pool
+    workers and the service daemon warm up through this."""
+    for key, text in texts.items():
+        if key not in _characterization_cache:
+            _characterization_cache[key] = \
+                PlatformCharacterization.from_json(text)
+
+
+def get_characterization(spec: PlatformSpec,
+                         sweep_step: float = DEFAULT_SWEEP_STEP,
                          cache_dir: Optional[str] = None,
                          engine: Optional[ExecutionEngine] = None
                          ) -> PlatformCharacterization:
@@ -61,31 +98,33 @@ def get_characterization(spec: PlatformSpec, sweep_step: float = 0.05,
     Process-cached, and optionally persisted to ``cache_dir`` (or the
     ``REPRO_CACHE_DIR`` environment variable) as JSON - the paper's
     characterization is computed once per processor and shipped with
-    the runtime, so the natural deployment is a cached file.  When an
-    ``engine`` is supplied, the per-category alpha sweeps fan out
-    through it (see docs/PARALLELISM.md); results are bit-identical
-    either way.
+    the runtime, so the natural deployment is a cached file.  Both are
+    keyed by :func:`characterization_key`, so a re-parameterized
+    platform that keeps its name, or another sweep step, gets its own
+    fit.  When an ``engine`` is supplied, the per-category alpha sweeps
+    fan out through it (see docs/PARALLELISM.md); results are
+    bit-identical either way.
     """
-    cached = _characterization_cache.get(spec.name)
+    key = characterization_key(spec, sweep_step)
+    cached = _characterization_cache.get(key)
     if cached is not None:
         return cached
 
     cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR")
     cache_path = None
     if cache_dir:
-        cache_path = os.path.join(cache_dir,
-                                  f"characterization-{spec.name}.json")
+        cache_path = characterization_path(cache_dir, spec, sweep_step)
         if os.path.exists(cache_path):
             with open(cache_path) as fh:
                 cached = PlatformCharacterization.from_json(fh.read())
-            _characterization_cache[spec.name] = cached
+            _characterization_cache[key] = cached
             return cached
 
     characterizer = PowerCharacterizer(
         microbenches=standard_microbenches(),
         sweep_step=sweep_step, spec=spec)
     cached = characterizer.characterize(engine=engine)
-    _characterization_cache[spec.name] = cached
+    _characterization_cache[key] = cached
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
         with open(cache_path, "w") as fh:
@@ -252,7 +291,7 @@ def _assemble_outcomes(evaluation: SuiteEvaluation, workload: Workload,
                        sweep: AlphaSweep, eas_run: ApplicationRun,
                        perf_run: ApplicationRun,
                        metric: EnergyMetric) -> None:
-    """Fold one workload's runs into the evaluation (both exec paths)."""
+    """Fold one workload's runs into the evaluation."""
     evaluation.sweeps[workload.abbrev] = sweep
     oracle_run = sweep.oracle(metric)
     oracle_value = oracle_run.metric_value(metric)
@@ -275,20 +314,6 @@ def _assemble_outcomes(evaluation: SuiteEvaluation, workload: Workload,
     evaluation.outcomes[workload.abbrev] = per_strategy
 
 
-def _engine_can_evaluate(workloads: Sequence[Workload],
-                         metric: EnergyMetric,
-                         eas_config: Optional[SchedulerConfig]) -> bool:
-    """Whether every run of this evaluation is expressible as a RunSpec.
-
-    Custom metrics (with objective callables), stateful/subclassed
-    workloads, and SchedulerConfig subclasses cannot cross process
-    boundaries declaratively; they take the inline path unchanged.
-    """
-    return (standard_metric_name(metric) is not None
-            and plain_scheduler_config(eas_config)
-            and all(reconstructible_workload(w) for w in workloads))
-
-
 def evaluate_suite(spec: PlatformSpec, workloads: Sequence[Workload],
                    metric: EnergyMetric, tablet: bool = False,
                    sweeps: Optional[Dict[str, AlphaSweep]] = None,
@@ -304,35 +329,18 @@ def evaluate_suite(spec: PlatformSpec, workloads: Sequence[Workload],
     run and one PERF run per workload - is submitted to the ``engine``
     (default: :func:`~repro.harness.engine.get_default_engine`) as a
     single batch, so a pooled engine overlaps *across* workloads and
-    strategies, not just within one sweep.
+    strategies, not just within one sweep.  Inputs a worker cannot
+    rebuild from a spec raise :class:`HarnessError` up front (see
+    :func:`~repro.harness.engine.check_engine_inputs`).
     """
+    eas_spec = check_engine_inputs(workloads, metric, eas_config)
     evaluation = SuiteEvaluation(
         platform=spec.name, metric=metric,
         strategies=["CPU", "GPU", "PERF", "EAS"])
     if engine is None:
         engine = get_default_engine()
 
-    if not _engine_can_evaluate(workloads, metric, eas_config):
-        characterization = get_characterization(spec)
-        for workload in workloads:
-            sweep = (sweeps or {}).get(workload.abbrev)
-            if sweep is None:
-                sweep = sweep_alphas(spec, workload, tablet=tablet,
-                                     engine=engine)
-            eas_scheduler = EnergyAwareScheduler(
-                characterization=characterization, metric=metric,
-                config=eas_config or SchedulerConfig())
-            eas_run = run_application(spec, workload, eas_scheduler,
-                                      strategy_name="EAS", tablet=tablet)
-            perf_run = run_application(spec, workload,
-                                       ProfiledPerfScheduler(),
-                                       strategy_name="PERF", tablet=tablet)
-            _assemble_outcomes(evaluation, workload, sweep, eas_run,
-                               perf_run, metric)
-        return evaluation
-
     alphas = _sweep_grid(ORACLE_ALPHA_STEP)
-    eas_spec = SchedulerSpec.eas(metric, eas_config)
     batch: List[RunSpec] = []
     for workload in workloads:
         if (sweeps or {}).get(workload.abbrev) is None:

@@ -52,7 +52,6 @@ from repro.soc.pcu import Pcu
 from repro.soc.power import idle_power, package_power
 from repro.soc.spec import PlatformSpec
 from repro.soc.trace import SPAN_DECIMATION_TICKS, PowerTrace, TraceSample
-from repro.soc.vector import active_vector_core
 from repro.soc.work import WorkRegion
 
 #: Smallest tick the event-alignment logic will produce.
@@ -191,17 +190,11 @@ class IntegratedProcessor:
         # same (frequency, configuration) model inputs recur endlessly.
         # Values are cached result objects - bit-identical to fresh
         # evaluation - so fast-vs-exact equivalence is unaffected.
-        # Inside an engine gang (see repro.soc.vector) the memos are
-        # shared across every compatible sibling run.
-        core = active_vector_core()
-        if core is not None and self._fast:
-            self._rates_memo, self._power_memo = core.adopt(spec)
-        else:
-            self._rates_memo = {}
-            self._power_memo = {}
+        self._rates_memo: dict = {}
+        self._power_memo: dict = {}
         # Bounded-mode phase-replay memo: whole-phase outcomes keyed on
         # quantized pre-state (never shared across processors - replay
-        # order would otherwise leak between ganged runs).
+        # order would otherwise leak between runs).
         self._phase_memo: dict = {}
         self._phase_entry_hits: dict = {}
         self._phase_armed = False

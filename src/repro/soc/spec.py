@@ -267,6 +267,17 @@ class PlatformSpec:
         return dataclasses.replace(self, tick_mode=mode)
 
 
+def model_identity(spec: PlatformSpec) -> PlatformSpec:
+    """``spec`` with its stepping fields normalized.
+
+    Clock mode and bounded tolerance select how the simulator steps,
+    not what the rate and power models compute, so two specs with equal
+    identities share one power characterization (the characterizer
+    always sweeps in exact mode).
+    """
+    return dataclasses.replace(spec, tick_mode="exact", bounded_tol=1e-6)
+
+
 def haswell_desktop(tick_mode: Optional[str] = None) -> PlatformSpec:
     """Calibrated spec for the paper's desktop platform.
 

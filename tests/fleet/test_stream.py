@@ -24,13 +24,7 @@ from repro.fleet import (
 )
 from repro.fleet.dispatcher import EXIT_FLEET_PLACEMENT
 from repro.fleet.policies import CellStats
-from repro.harness.engine import (
-    CACHE_SCHEMA_VERSION,
-    KIND_FLEET_DISPATCH,
-    ExecutionEngine,
-    ResultCache,
-    RunSpec,
-)
+from repro.harness.engine import ExecutionEngine, ResultCache
 from repro.obs.observer import Observer
 
 FLEET = FleetSpec(n_nodes=16, desktop_fraction=0.5, tick_mode="fast",
@@ -226,59 +220,6 @@ class TestObservability:
         again = dispatch_stream(FLEET, TRACE, policy="least_loaded",
                                 engine=engine, observer=None)
         assert st.fingerprint() == again.fingerprint()
-
-
-class TestEngineFleetDispatch:
-    def _spec(self, mode, policy="least_loaded"):
-        return RunSpec(platform=FLEET.platform_spec("desktop"),
-                       kind=KIND_FLEET_DISPATCH, fleet=FLEET, trace=TRACE,
-                       policy=policy, dispatch_mode=mode)
-
-    def test_schema_version_bumped_for_streaming(self):
-        assert CACHE_SCHEMA_VERSION >= 6
-
-    def test_modes_hash_to_distinct_keys(self):
-        assert (self._spec("reference").cache_key()
-                != self._spec("streaming").cache_key())
-        assert (self._spec("reference", policy="random").cache_key()
-                != self._spec("reference").cache_key())
-
-    def test_canonical_carries_fleet_payload(self):
-        canonical = self._spec("streaming").canonical()
-        assert FLEET.canonical() in canonical
-        assert TRACE.canonical() in canonical
-        assert '"dispatch_mode":"streaming"' in canonical
-        assert '"policy":"least_loaded"' in canonical
-
-    def test_validation(self):
-        with pytest.raises(HarnessError, match="dispatch_mode"):
-            self._spec("turbo")
-        with pytest.raises(HarnessError, match="FleetSpec"):
-            RunSpec(platform=FLEET.platform_spec("desktop"),
-                    kind=KIND_FLEET_DISPATCH, policy="random",
-                    dispatch_mode="reference")
-        with pytest.raises(HarnessError, match="must leave"):
-            RunSpec(platform=FLEET.platform_spec("desktop"),
-                    workload="MM", policy="random")
-
-    def test_engine_runs_and_caches_fleet_dispatch(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "dispatch-cache"))
-        eng = ExecutionEngine(cache=cache)
-        spec = self._spec("streaming")
-        first = eng.run_batch([spec])[0]
-        assert not first.from_cache
-        assert first.payload.fingerprint()
-        second = eng.run_batch([spec])[0]
-        assert second.from_cache
-        assert (second.payload.fingerprint()
-                == first.payload.fingerprint())
-
-    def test_cross_mode_fingerprints_agree_through_engine(self, tmp_path):
-        eng = ExecutionEngine(
-            cache=ResultCache(str(tmp_path / "xmode-cache")))
-        ref = eng.run_batch([self._spec("reference")])[0].payload
-        st = eng.run_batch([self._spec("streaming")])[0].payload
-        assert ref.stream_fingerprint() == st.fingerprint()
 
 
 class TestLatencySketch:

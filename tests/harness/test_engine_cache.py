@@ -1,6 +1,7 @@
-"""Cache-correctness tests for the content-addressed result cache.
+"""Engine tests: the content-addressed result cache, the pool, and
+the input check in front of both.
 
-Three contracts:
+Five contracts:
 
 1. **key sensitivity** - the cache key moves when any RunSpec field
    or the schema version changes, so no spec can ever be served
@@ -8,18 +9,25 @@ Three contracts:
 2. **integrity** - corrupted or truncated entries are detected via
    checksum, evicted, and recomputed, never trusted;
 3. **bypass** - ``--no-cache`` (engine without a cache) neither reads
-   nor writes.
+   nor writes;
+4. **pool** - a pooled batch returns results in submission order and
+   dies promptly, caching nothing, when a worker is interrupted;
+5. **input check** - grids a worker could not rebuild from specs are
+   refused before any simulation.
 """
 
 import dataclasses
 import os
 import pickle
+import time
 
 import pytest
 
-from repro.core.metrics import metric_by_name
+from repro.core.metrics import EnergyMetric, metric_by_name
+from repro.core.scheduler import SchedulerConfig
 from repro.errors import HarnessError
 from repro.harness import engine as engine_mod
+from repro.harness.chaos import run_chaos_campaign
 from repro.harness.cli import _make_cache
 from repro.harness.engine import (
     _MAGIC,
@@ -33,7 +41,9 @@ from repro.harness.engine import (
     set_default_engine,
     use_engine,
 )
+from repro.harness.suite import evaluate_suite, sweep_alphas
 from repro.soc.spec import baytrail_tablet, haswell_desktop
+from repro.workloads.registry import workload_by_abbrev
 
 
 @pytest.fixture
@@ -92,6 +102,21 @@ class TestKeySensitivity:
         energy = dataclasses.replace(base_spec,
                                      scheduler=SchedulerSpec.eas("energy"))
         assert edp.cache_key() != energy.cache_key()
+
+    def test_tick_modes_hash_distinct(self, base_spec):
+        keys = {
+            dataclasses.replace(
+                base_spec, platform=haswell_desktop(tick_mode=mode)
+            ).cache_key()
+            for mode in ("exact", "fast", "bounded")
+        }
+        assert len(keys) == 3
+
+    def test_bounded_tol_hashes_distinct(self, base_spec):
+        base = haswell_desktop(tick_mode="bounded")
+        loose = dataclasses.replace(base, bounded_tol=1e-4)
+        assert (dataclasses.replace(base_spec, platform=base).cache_key()
+                != dataclasses.replace(base_spec, platform=loose).cache_key())
 
 
 class TestEasMetricRoundTrip:
@@ -285,3 +310,109 @@ class TestDefaultEngine:
         results = engine.run_batch([spec, spec, spec])
         assert cache.writes == 1
         assert results[0] is results[1] is results[2]
+
+
+def _static_spec(platform, seed, tablet=False):
+    return RunSpec(platform=platform, workload="MB",
+                   scheduler=SchedulerSpec.static(0.5), seed=seed,
+                   tablet=tablet)
+
+
+def _first_spec_interrupts(spec):
+    """Stand-in for ``execute_spec``: seed 0 raises KeyboardInterrupt,
+    every other spec hangs (module-level so pool workers can unpickle
+    it by qualified name)."""
+    if spec.seed == 0:
+        raise KeyboardInterrupt()
+    time.sleep(120.0)
+
+
+class TestPool:
+    def test_single_spec_batch_through_parallel_engine(self):
+        """jobs>1 with one pending spec runs in-process and still
+        produces the reference result."""
+        spec = _static_spec(haswell_desktop(), seed=7)
+        parallel = ExecutionEngine(jobs=4).run_batch([spec])
+        serial = ExecutionEngine(jobs=1).run_batch([spec])
+        assert len(parallel) == 1
+        assert parallel[0].payload.canonical() == serial[0].payload.canonical()
+
+    def test_mixed_platform_batch_keeps_submission_order(self):
+        specs = [_static_spec(haswell_desktop(), seed=0),
+                 _static_spec(baytrail_tablet(), seed=1, tablet=True),
+                 _static_spec(haswell_desktop(), seed=2)]
+        results = ExecutionEngine(jobs=2).run_batch(specs)
+        reference = ExecutionEngine(jobs=1).run_batch(specs)
+        assert [r.key for r in results] == [s.cache_key() for s in specs]
+        for got, want in zip(results, reference):
+            assert got.payload.canonical() == want.payload.canonical()
+
+    def test_keyboard_interrupt_tears_down_pool(self, monkeypatch, cache):
+        """An interrupted worker kills the whole pooled batch promptly
+        instead of waiting out every queued spec, and caches nothing."""
+        monkeypatch.setattr(engine_mod, "execute_spec",
+                            _first_spec_interrupts)
+        engine = ExecutionEngine(jobs=2, cache=cache)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_batch([_static_spec(haswell_desktop(), seed=i)
+                              for i in range(4)])
+        assert time.monotonic() - start < 30.0
+        assert cache.writes == 0
+
+
+class _SubclassedSL(type(workload_by_abbrev("SL"))):
+    """A registry workload subclass that keeps the registry abbrev."""
+
+
+class _TweakedConfig(SchedulerConfig):
+    """A SchedulerConfig subclass: not rebuildable from its fields."""
+
+
+class _RefusingEngine:
+    def run_batch(self, specs, observer=None):
+        raise AssertionError("simulated before the input check")
+
+
+def _evaluate(workloads, metric, eas_config):
+    return evaluate_suite(haswell_desktop(), workloads, metric,
+                          eas_config=eas_config, engine=_RefusingEngine())
+
+
+def _chaos(workloads, metric, eas_config):
+    return run_chaos_campaign(workloads=workloads, metric=metric,
+                              eas_config=eas_config,
+                              engine=_RefusingEngine())
+
+
+class TestEngineInputCheck:
+    """evaluate_suite and run_chaos_campaign run only through the
+    engine, so anything a worker would rebuild differently is refused
+    up front, naming the input, instead of silently simulating the
+    registry default."""
+
+    @pytest.mark.parametrize("entry", [_evaluate, _chaos])
+    @pytest.mark.parametrize("workloads, metric, eas_config, named", [
+        ([_SubclassedSL()], metric_by_name("edp"), None, "_SubclassedSL"),
+        ([workload_by_abbrev("SL")],
+         EnergyMetric(name="mine", custom_fn=lambda p, t: p * t * t),
+         None, "mine"),
+        ([workload_by_abbrev("SL")], metric_by_name("edp"),
+         _TweakedConfig(), "_TweakedConfig"),
+    ], ids=["subclassed-workload", "custom-metric", "config-subclass"])
+    def test_rejected_before_any_simulation(self, entry, workloads, metric,
+                                            eas_config, named):
+        with pytest.raises(HarnessError, match=named):
+            entry(workloads, metric, eas_config)
+
+    def test_sweep_alphas_runs_a_subclass_in_process(self):
+        """sweep_alphas keeps its in-process loop for workloads the
+        engine cannot rebuild; it matches the engine-run registry
+        workload exactly."""
+        desktop = haswell_desktop()
+        inline = sweep_alphas(desktop, _SubclassedSL(), step=0.5,
+                              engine=_RefusingEngine())
+        engine = sweep_alphas(desktop, workload_by_abbrev("SL"), step=0.5,
+                              engine=ExecutionEngine(jobs=1))
+        assert inline.alphas == [0.0, 0.5, 1.0]
+        assert inline.fingerprint() == engine.fingerprint()

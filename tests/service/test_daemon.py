@@ -223,7 +223,8 @@ class TestWarmTableFastPath:
         from repro.harness import suite
 
         # Force the cold run to pay the full characterize+profile cost.
-        suite._characterization_cache.pop("baytrail-tablet", None)
+        char_key = suite.characterization_key(tablet_spec.platform_spec())
+        suite._characterization_cache.pop(char_key, None)
         service = _service(tmp_path)
         try:
             cold = service.submit(tablet_spec)
@@ -237,7 +238,7 @@ class TestWarmTableFastPath:
             service.close()
 
         # A fresh service lifetime: everything must come from the store.
-        suite._characterization_cache.pop("baytrail-tablet", None)
+        suite._characterization_cache.pop(char_key, None)
         warm_service = _service(tmp_path)
         try:
             warm = warm_service.submit(tablet_spec)

@@ -46,9 +46,7 @@ EXPECTED_API = sorted([
     # execution engine
     "ExecutionEngine", "RunSpec", "RunResult", "SchedulerSpec",
     "ResultCache", "get_default_engine", "set_default_engine", "use_engine",
-    "SpecGang", "execute_gang",
-    # vectorized-core sharing & differential testing (docs/PERFORMANCE.md)
-    "VectorCore", "model_identity", "use_vector_core",
+    # differential testing (docs/PERFORMANCE.md)
     "DiffCase", "DiffReport", "run_case", "diff_case", "grid_cases",
     "compare_outcomes",
     # observability
