@@ -10,9 +10,12 @@ The streaming-dispatcher acceptance campaign (see docs/FLEET.md,
   the same shape.  End-to-end requests/second (trace generation
   included for both) must favor streaming by at least
   ``$FLEET_SPEED_MIN_SPEEDUP`` (default 20) on the fully vectorized
-  ``round_robin`` path; ``random`` and ``least_loaded`` ratios are
-  reported unasserted (``least_loaded`` stays per-request sequential
-  by nature - each dispatch moves the backlog the next one reads).
+  ``round_robin`` path.  The other four policies are timed the same
+  way and reported unasserted: ``random`` draws its scalar RNG stream
+  per request, and ``least_loaded``, ``energy_aware`` and
+  ``deadline_aware`` stay per-request sequential by nature (each
+  dispatch moves the backlog the next one reads), placing through
+  the view's one vectorized least-loaded kernel.
 * **bounded memory** - tracemalloc peak per request: streaming must
   stay under a fifth of the reference's per-request footprint (it
   holds ~18 B/request of columns; the reference holds outcome +
@@ -149,7 +152,7 @@ def test_fleet_streaming_campaign(benchmark, tmp_path):
 
     # -- throughput: streaming full campaign vs reference prefix -------------
     def _measure():
-        for policy in ("round_robin", "random", "least_loaded"):
+        for policy in PLACEMENT_POLICIES:
             st, st_wall = _timed_stream(engine, policy)
             ref, ref_wall = _timed_reference(engine, policy)
             st_rate = st.n_requests / st_wall

@@ -480,6 +480,10 @@ def run_fleet(fleet: FleetSpec, trace: TraceSpec,
     # Pending completions: (t_complete, dispatch seq, outcome index).
     pending: List[Tuple[float, int, int]] = []
     seq = 0
+    # Each node's last completion instant: equal to view.free_at, but
+    # kept as computed - a cell's time_s may be an np.float64, and
+    # t_start keeps that type, whose repr the fingerprint carries.
+    last_complete: List[float] = [0.0] * len(view.nodes)
 
     def retire(until: float) -> None:
         while pending and pending[0][0] <= until:
@@ -517,7 +521,7 @@ def run_fleet(fleet: FleetSpec, trace: TraceSpec,
                 f"ineligible node {view.nodes[node_index].name}")
         node = view.nodes[node_index]
         profile = profiles[(node.platform_kind, request.workload)]
-        t_start = max(t_dispatch, view.free_at[node_index])
+        t_start = max(t_dispatch, last_complete[node_index])
         t_complete = t_start + profile.time_s
         outcomes.append(RequestOutcome(
             req_id=request.req_id,
@@ -533,6 +537,7 @@ def run_fleet(fleet: FleetSpec, trace: TraceSpec,
             carbon_g=(carbon.grams(profile.energy_j, t_start, node_index)
                       if carbon is not None else None)))
         view.note_dispatch(node_index, request.workload, t_complete)
+        last_complete[node_index] = t_complete
         heapq.heappush(pending, (t_complete, seq, len(outcomes) - 1))
         seq += 1
         notes = [f"policy:{policy}", f"node:{node.name}",
@@ -848,10 +853,9 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
     Identical placement decisions and per-request timestamps to
     :func:`run_fleet` in reference mode (the cross-mode fingerprint
     lock), at O(nodes + chunk) dispatch state instead of O(requests).
-    Stateless policies (random / round_robin / least_loaded) run as
-    block operations; the view-reading policies (energy_aware /
-    deadline_aware) run scalar over the columnar chunks with bucketed
-    completion retirement.
+    random / round_robin run as block operations; the view-reading
+    policies run per request through the view's least-loaded kernel,
+    energy_aware / deadline_aware with bucketed completion retirement.
     """
     if fleet.carbon is not None:
         raise HarnessError(
@@ -914,9 +918,8 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
         [_PLATFORM_ORDER.index(n.platform_kind) for n in nodes],
         dtype=np.int64)
     node_names = [n.name for n in nodes]
-    eligible_by_w = {
-        wi: np.asarray(view.eligible_nodes(workloads[wi]), dtype=np.int64)
-        for wi in present}
+    eligible_by_w = {wi: view.eligible_nodes(workloads[wi])
+                     for wi in present}
 
     if policy == "random":
         # The policy's exact RNG stream, drawn in arrival order; only
@@ -938,7 +941,7 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
     stateful = policy in ("energy_aware", "deadline_aware")
     retirement = _BucketRetirement(n_nodes) if stateful else None
 
-    free_at = np.zeros(n_nodes, dtype=np.float64)
+    free_at = view.free_at  # every policy schedules on the view's array
     busy_s = np.zeros(n_nodes, dtype=np.float64)
     cell_counts = np.zeros((2, n_workloads), dtype=np.int64)
     sketch = LatencySketch()
@@ -990,19 +993,16 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
             service = svc_table[node_kind[nodes_ch], w_ch]
             ts_ch, tc_ch = _fifo_schedule(t_ch, service, nodes_ch, free_at)
         elif policy == "least_loaded":
-            # Sequential by nature (each dispatch moves free_at), but
-            # the inner argmin over eligible backlogs is one C-level
-            # pass; first-of-equals == the reference's strict-< scan.
+            # Sequential by nature (each dispatch moves free_at): the
+            # view's least-loaded kernel, one request at a time.
             nodes_ch = np.empty(m, dtype=np.int64)
             ts_ch = np.empty(m, dtype=np.float64)
             tc_ch = np.empty(m, dtype=np.float64)
             for i in range(m):
                 wi = int(w_ch[i])
-                now = t_ch[i]
-                eligible = eligible_by_w[wi]
-                backlog = np.maximum(free_at[eligible] - now, 0.0)
-                idx = int(eligible[int(backlog.argmin())])
-                t_start = max(now, free_at[idx])
+                view.now = now = float(t_ch[i])
+                idx = view.least_loaded(eligible_by_w[wi])
+                t_start = max(now, free_at.item(idx))
                 t_complete = t_start + svc_table[node_kind[idx], wi]
                 free_at[idx] = t_complete
                 nodes_ch[i] = idx
@@ -1034,7 +1034,7 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
                         f"ineligible node {view.nodes[node_index].name}")
                 profile = profiles[
                     (view.nodes[node_index].platform_kind, workload)]
-                t_start = max(t, view.free_at[node_index])
+                t_start = max(t, free_at.item(node_index))
                 t_complete = t_start + profile.time_s
                 view.note_dispatch(node_index, workload, t_complete)
                 retirement.push(
@@ -1107,10 +1107,9 @@ def dispatch_stream(fleet: FleetSpec, trace: TraceSpec,
             obs.inc("fleet.deadline_misses", n_missed)
             obs.set_gauge("fleet.dispatch.req_per_s",
                           m / elapsed if elapsed > 0.0 else 0.0)
-            fa = (np.asarray(view.free_at) if stateful else free_at)
             now_end = float(t_ch[-1]) if m else 0.0
             obs.set_gauge("fleet.backlog", float(
-                np.sum(np.maximum(fa - now_end, 0.0))))
+                np.sum(np.maximum(free_at - now_end, 0.0))))
             for record in records[new_records_from:]:
                 obs.decision(record)
             chunk_span.__exit__(None, None, None)

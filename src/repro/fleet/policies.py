@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import HarnessError, UnknownNameError, closest_names
 from repro.fleet.topology import NodeSpec
@@ -87,17 +89,17 @@ class FleetView:
         self.nodes: Tuple[NodeSpec, ...] = tuple(nodes)
         self.now: float = 0.0
         #: Fleet-clock instant each node's queue drains, by index.
-        self.free_at: List[float] = [0.0] * len(self.nodes)
-        self._kind_nodes: Dict[str, Tuple[int, ...]] = {}
-        for node in self.nodes:
-            self._kind_nodes.setdefault(node.platform_kind, ())
-        for kind in self._kind_nodes:
-            self._kind_nodes[kind] = tuple(
-                n.index for n in self.nodes if n.platform_kind == kind)
+        self.free_at: np.ndarray = np.zeros(len(self.nodes),
+                                            dtype=np.float64)
+        #: Node indices per class present in the fleet, ascending.
+        self._kind_nodes: Dict[str, np.ndarray] = {
+            kind: np.array([n.index for n in self.nodes
+                            if n.platform_kind == kind], dtype=np.int64)
+            for kind in dict.fromkeys(n.platform_kind for n in self.nodes)}
         self._stats: Dict[Tuple[str, str], CellStats] = {}
         self._in_flight: Dict[Tuple[str, str], int] = {}
         self._eligible_kinds: Dict[str, Tuple[str, ...]] = {}
-        self._eligible_nodes: Dict[str, Tuple[int, ...]] = {}
+        self._eligible_nodes: Dict[str, np.ndarray] = {}
 
     # -- topology & eligibility --------------------------------------------------
 
@@ -111,17 +113,18 @@ class FleetView:
             spec = workload_by_abbrev(workload)
             cached = tuple(
                 kind for kind in ("desktop", "tablet")
-                if self._kind_nodes.get(kind)
+                if kind in self._kind_nodes
                 and (kind == "desktop" or spec.tablet_supported))
             self._eligible_kinds[workload] = cached
         return cached
 
-    def eligible_nodes(self, workload: str) -> Tuple[int, ...]:
+    def eligible_nodes(self, workload: str) -> np.ndarray:
+        """The desktop block, then the tablet block (int64, ascending)."""
         cached = self._eligible_nodes.get(workload)
         if cached is None:
-            cached = tuple(
-                i for kind in self.eligible_kinds(workload)
-                for i in self._kind_nodes[kind])
+            cached = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [self._kind_nodes[k] for k in self.eligible_kinds(workload)])
             self._eligible_nodes[workload] = cached
         return cached
 
@@ -132,18 +135,14 @@ class FleetView:
 
     def backlog_s(self, index: int) -> float:
         """Queued work ahead of a new arrival on this node, seconds."""
-        return max(0.0, self.free_at[index] - self.now)
+        return max(0.0, self.free_at.item(index) - self.now)
 
     def least_loaded(self, indices: Sequence[int]) -> int:
-        """Minimum backlog; the first of equals in ``indices`` wins
-        (deterministic for any fixed candidate order)."""
-        best = indices[0]
-        best_backlog = self.backlog_s(best)
-        for i in indices[1:]:
-            backlog = self.backlog_s(i)
-            if backlog < best_backlog:
-                best, best_backlog = i, backlog
-        return best
+        """Minimum backlog; the first of equals in ``indices`` wins.
+        The IEEE ops of :meth:`backlog_s`, vectorized: ``argmin`` keeps
+        the first minimum, so the pick equals a strict-``<`` scan."""
+        backlog = np.maximum(self.free_at[indices] - self.now, 0.0)
+        return int(indices[int(backlog.argmin())])
 
     def least_loaded_of_kind(self, kind: str, workload: str) -> int:
         return self.least_loaded(self._kind_nodes[kind])
@@ -201,7 +200,7 @@ class RandomPolicy(PlacementPolicy):
 
     def place(self, view: FleetView, request) -> Tuple[int, str]:
         eligible = view.eligible_nodes(request.workload)
-        return eligible[self._rng.randrange(len(eligible))], "uniform"
+        return int(eligible[self._rng.randrange(len(eligible))]), "uniform"
 
 
 class RoundRobinPolicy(PlacementPolicy):

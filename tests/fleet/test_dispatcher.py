@@ -85,6 +85,26 @@ class TestAccounting:
             assert outcome.t_complete_s > outcome.t_start_s
             assert outcome.energy_j > 0.0
 
+    def test_queued_start_reads_as_predecessor_completion(self, engine):
+        # A queued request starts when its node's previous request
+        # completes, and the fingerprinted text must say so: a cell's
+        # time_s can be an np.float64, so a float() between the
+        # completion and the next start would change the repr.
+        import dataclasses
+
+        trace = dataclasses.replace(TRACE, mean_rate_hz=8.0)
+        result = run_fleet(FLEET, trace, policy="energy_aware",
+                           engine=engine)
+        previous = {}
+        queued = 0
+        for outcome in result.outcomes:
+            if outcome.t_start_s > outcome.t_arrival_s:
+                queued += 1
+                assert repr(outcome.t_start_s) == repr(
+                    previous[outcome.node_index].t_complete_s)
+            previous[outcome.node_index] = outcome
+        assert queued > 0
+
     def test_energy_is_sum_of_outcomes(self, engine):
         result = run_fleet(FLEET, TRACE, policy="least_loaded",
                            engine=engine)
